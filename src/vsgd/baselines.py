@@ -2,7 +2,7 @@
 
 These are the comparison points for the equivalence and benchmark tests.
 All steppers share the package convention of updating state and theta in
-place and returning them.
+place and returning them, and reject non-finite gradients with NumericError.
 """
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _checked_gradient
 from .errors import ConfigError
 
 __all__ = [
@@ -76,7 +77,7 @@ def adam_step(
     state: AdamState, theta: np.ndarray, g_hat: np.ndarray, cfg: AdamParams
 ) -> tuple[AdamState, np.ndarray]:
     """Bias-corrected Adam: theta -= eta * m_hat / (sqrt(v_hat) + eps)."""
-    g_hat = np.asarray(g_hat, dtype=np.float64)
+    g_hat = _checked_gradient(g_hat, state.m.shape[0])
     _update_moments(state, g_hat, cfg)
     m_hat = state.m / (1.0 - cfg.beta1 ** state.t)
     v_hat = state.v / (1.0 - cfg.beta2 ** state.t)
@@ -99,7 +100,7 @@ def amsgrad_step(
     """
     if state.v_hat_max is None:
         raise ValueError("state was not initialized with amsgrad=True")
-    g_hat = np.asarray(g_hat, dtype=np.float64)
+    g_hat = _checked_gradient(g_hat, state.m.shape[0])
     _update_moments(state, g_hat, cfg)
     np.maximum(state.v_hat_max, state.v, out=state.v_hat_max)
     m_hat = state.m / (1.0 - cfg.beta1 ** state.t)
@@ -115,7 +116,7 @@ def amsgrad_step(
 @dataclass(frozen=True)
 class SgdmParams:
     eta: float
-    momentum: float  # the velocity decay coefficient
+    momentum: float = 0.9  # the velocity decay coefficient
 
     def __post_init__(self) -> None:
         if not self.eta > 0:
@@ -139,7 +140,7 @@ def sgdm_step(
     state: MomentumState, theta: np.ndarray, g_hat: np.ndarray, cfg: SgdmParams
 ) -> tuple[MomentumState, np.ndarray]:
     """v <- momentum*v + eta*g_hat; theta <- theta - v."""
-    g_hat = np.asarray(g_hat, dtype=np.float64)
+    g_hat = _checked_gradient(g_hat, state.v.shape[0])
     state.v *= cfg.momentum
     state.v += cfg.eta * g_hat
     theta -= state.v
@@ -147,11 +148,11 @@ def sgdm_step(
 
 
 def sgd_step(theta: np.ndarray, g_hat: np.ndarray, eta: float) -> np.ndarray:
-    theta -= eta * np.asarray(g_hat, dtype=np.float64)
+    theta -= eta * _checked_gradient(g_hat, theta.shape[0])
     return theta
 
 
 def normalized_sgd_step(theta: np.ndarray, g_hat: np.ndarray, eta: float) -> np.ndarray:
     """theta -= eta*sign(g_hat); elements with g_hat = 0 are left unchanged."""
-    theta -= eta * np.sign(np.asarray(g_hat, dtype=np.float64))
+    theta -= eta * np.sign(_checked_gradient(g_hat, theta.shape[0]))
     return theta

@@ -38,7 +38,19 @@ class CliConfig:
     out_dir: str | None = None
     run_configs: list[RunConfig] = field(default_factory=list)
     suites: list[str] | None = None  # verify
-    bench_optimizers: tuple[str, str] = ("vsgd", "adam")
+
+
+def _comma_list(convert):
+    """Argparse type: comma-separated values, each through ``convert``."""
+
+    def parse(text: str) -> list:
+        values = [convert(tok) for tok in text.split(",") if tok.strip()]
+        if not values:
+            raise ValueError(f"empty list {text!r}")
+        return values
+
+    parse.__name__ = f"{convert.__name__} list"  # argparse names it in errors
+    return parse
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -48,7 +60,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_run_flags(p: argparse.ArgumentParser, lists: bool) -> None:
-        as_list = str if lists else float
+        floats, ints = (_comma_list(float), _comma_list(int)) if lists else (float, int)
         p.add_argument("--config", help="key=value config file; flags override it")
         p.add_argument(
             "--optimizer",
@@ -56,16 +68,16 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
             default="vsgd",
         )
         p.add_argument("--problem", default="quad")
-        p.add_argument("--lr", type=as_list, default=None, help="learning rate")
+        p.add_argument("--lr", type=floats, default=None, help="learning rate")
         p.add_argument("--gamma", type=float, default=None, help="prior strength")
         p.add_argument("--kg", type=float, default=None, help="variance ratio K_g")
         p.add_argument("--kh", type=float, default=None, help="variance ratio K_h")
         p.add_argument("--kappa1", type=float, default=None)
         p.add_argument("--kappa2", type=float, default=None)
         p.add_argument("--kappa", type=float, default=None)
-        p.add_argument("--weight-decay", type=as_list, default=None)
+        p.add_argument("--weight-decay", type=floats, default=None)
         p.add_argument("--steps", type=int, default=1000)
-        p.add_argument("--seed", type=as_list, default=None)
+        p.add_argument("--seed", type=ints, default=None)
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--record-stride", type=int, default=1)
         p.add_argument("--scheduler", default="none", help="'none' or 'halve:K'")
@@ -89,52 +101,42 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, {"run": p_run, "sweep": p_sweep, "bench": p_bench}
 
 
-def _apply_config_file(
-    subparsers: dict[str, argparse.ArgumentParser], argv: list[str]
-) -> None:
-    """Load --config key=value pairs as subparser defaults; flags still win."""
-    path = None
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif token.startswith("--config="):
-            path = token.split("=", 1)[1]
-    if path is None:
-        return
+def _apply_config_file(parser: argparse.ArgumentParser, path: str) -> None:
+    """Load key=value lines as ``parser``'s defaults; flags still win.
+
+    The keys are the parser's long flag names, and each value goes through
+    its flag's type and choices, so a bad value is a ConfigError at file:line.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    known = {
-        "optimizer", "problem", "lr", "gamma", "kg", "kh", "kappa1", "kappa2",
-        "kappa", "weight_decay", "steps", "seed", "out", "record_stride",
-        "scheduler",
+    actions = {
+        action.dest: action
+        for action in parser._actions
+        if action.option_strings and action.dest not in ("help", "config")
     }
-    defaults: dict[str, str] = {}
+    defaults: dict[str, object] = {}
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, sep, value = line.partition("=")
-        key = key.strip().replace("-", "_")
-        if not sep or key not in known:
+        action = actions.get(key.strip().replace("-", "_"))
+        if not sep or action is None:
             raise ConfigError(f"{path}:{lineno}: unknown config line {raw.strip()!r}")
-        defaults[key] = value.strip()
-    # route through the same type conversions as the flags
-    typed: dict[str, object] = {}
-    for key, value in defaults.items():
-        if key in ("steps", "record_stride"):
-            typed[key] = int(value)
-        elif key in ("gamma", "kg", "kh", "kappa1", "kappa2", "kappa"):
-            typed[key] = float(value)
-        elif key in ("lr", "weight_decay", "seed"):
-            typed[key] = value  # coerced later; may carry a sweep list
-        else:
-            typed[key] = value
-    # subcommand parsers own the flags, so the defaults must land there
-    for p in subparsers.values():
-        p.set_defaults(**typed)
+        value = value.strip()
+        try:
+            typed = value if action.type is None else action.type(value)
+            if action.choices is not None and typed not in action.choices:
+                raise ValueError(f"expected one of {', '.join(action.choices)}")
+        except ValueError as exc:
+            raise ConfigError(
+                f"{path}:{lineno}: invalid {action.dest} value {value!r}: {exc}"
+            ) from None
+        defaults[action.dest] = typed
+    parser.set_defaults(**defaults)
 
 
 def _hp_from_ns(ns, lr: float, weight_decay: float) -> HyperParams:
@@ -153,16 +155,11 @@ def _hp_from_ns(ns, lr: float, weight_decay: float) -> HyperParams:
     return HyperParams(**kwargs)
 
 
-def _floats(raw, default: float) -> list[float]:
+def _values(raw, default) -> list:
+    """A flag's value as a list: one value, a sweep list, or the default."""
     if raw is None:
         return [default]
-    if isinstance(raw, float):
-        return [raw]
-    return [float(tok) for tok in str(raw).split(",") if tok != ""]
-
-
-def _ints(raw, default: int) -> list[int]:
-    return [int(v) for v in _floats(raw, float(default))]
+    return raw if isinstance(raw, list) else [raw]
 
 
 def parse_args(argv: list[str]) -> CliConfig:
@@ -172,8 +169,11 @@ def parse_args(argv: list[str]) -> CliConfig:
     ConfigError, which main() also maps to exit status 2.
     """
     parser, subparsers = _build_parser()
-    _apply_config_file(subparsers, list(argv))
     ns = parser.parse_args(list(argv))
+    if getattr(ns, "config", None) is not None:
+        # the subcommand's parser owns the flags, so the defaults land there
+        _apply_config_file(subparsers[ns.command], ns.config)
+        ns = parser.parse_args(list(argv))
 
     if ns.command == "verify":
         return CliConfig(command="verify", suites=ns.suite)
@@ -182,39 +182,23 @@ def parse_args(argv: list[str]) -> CliConfig:
     if ns.command in ("run", "sweep") and not out_dir:
         raise ConfigError("an output directory is required (--out or VSGD_OUT_DIR)")
 
-    lrs = _floats(ns.lr, default=0.01)
-    decays = _floats(ns.weight_decay, default=0.0)
-    seeds = _ints(ns.seed, default=0)
-    if ns.command in ("run", "bench"):
-        for name, values in (("--lr", lrs), ("--weight-decay", decays), ("--seed", seeds)):
-            if len(values) != 1:
-                raise ConfigError(f"{name} takes a single value for {ns.command}")
-
+    lrs = _values(ns.lr, default=0.01)
+    decays = _values(ns.weight_decay, default=0.0)
+    seeds = _values(ns.seed, default=0)
+    optimizers = ("vsgd", "adam") if ns.command == "bench" else (ns.optimizer,)
+    record_stride = max(ns.steps // 10, 1) if ns.command == "bench" else ns.record_stride
     configs = [
         RunConfig(
-            optimizer=ns.optimizer,
+            optimizer=optimizer,
             problem=ns.problem,
             steps=ns.steps,
             seed=seed,
             hp=_hp_from_ns(ns, lr, decay),
-            record_stride=ns.record_stride,
+            record_stride=record_stride,
             scheduler=ns.scheduler,
         )
-        for lr, decay, seed in itertools.product(lrs, decays, seeds)
+        for optimizer, lr, decay, seed in itertools.product(optimizers, lrs, decays, seeds)
     ]
-    if ns.command == "bench":
-        configs = [
-            RunConfig(
-                optimizer=name,
-                problem=ns.problem,
-                steps=ns.steps,
-                seed=seeds[0],
-                hp=_hp_from_ns(ns, lrs[0], decays[0]),
-                record_stride=max(ns.steps // 10, 1),
-                scheduler=ns.scheduler,
-            )
-            for name in ("vsgd", "adam")
-        ]
     return CliConfig(command=ns.command, out_dir=out_dir, run_configs=configs)
 
 

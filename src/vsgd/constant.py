@@ -31,6 +31,7 @@ __all__ = [
     "init_constant_state",
     "cvsgd_local",
     "cvsgd_step",
+    "state_sigma2",
     "adam_first_moment_equivalence",
     "second_moment_decomposition",
 ]
@@ -96,6 +97,16 @@ def cvsgd_step(
     state.t = t
     theta -= hp.eta * mu_new / np.sqrt(mu_new * mu_new + sigma2)
     return state, theta
+
+
+def state_sigma2(state: ConstantVsgdState, hp: HyperParams) -> np.ndarray:
+    """Posterior gradient variance (1/(k_g+1)) * b_ghat/a_ghat of the state.
+
+    Written as (b_ghat/a_ghat)/(k_g+1), not cvsgd_local's w_obs*(b_ghat/a_ghat),
+    which differs in the last bit on some elements; the recorded traces keep
+    this form.
+    """
+    return (state.b_ghat / state.a_ghat) / (hp.k_g + 1.0)
 
 
 def adam_first_moment_equivalence(beta1: float) -> float:

@@ -44,10 +44,6 @@ class RunConfig:
     hp: HyperParams = field(default_factory=HyperParams)
     record_stride: int = 1
     scheduler: str = "none"
-    momentum: float = 0.9  # sgdm only
-    beta1: float = 0.9  # adam/amsgrad only
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.optimizer not in OPTIMIZER_NAMES:
@@ -111,138 +107,99 @@ def parse_scheduler(spec: str) -> Callable[[int], float]:
     raise ConfigError(f"bad scheduler spec {spec!r}; expected 'none' or 'halve:K'")
 
 
-class _VsgdStepper:
-    def __init__(self, dim: int, cfg: RunConfig):
-        self.hp = cfg.hp
-        self.state = core.init_state(dim, cfg.hp)
-
-    def step(self, theta, g_hat, eta):
-        hp = self.hp if eta == self.hp.eta else replace(self.hp, eta=eta)
-        _, theta = core.vsgd_step(self.state, theta, g_hat, hp)
-        return theta
-
-    def summaries(self):
-        sigma2 = core.state_sigma2(self.state)
-        return {
-            "mean_b_g": float(np.mean(self.state.b_g)),
-            "mean_b_ghat": float(np.mean(self.state.b_ghat)),
-            "mean_sigma2": float(np.mean(sigma2)),
-        }
+def _mean(x: np.ndarray) -> float:
+    return float(np.mean(x))
 
 
-class _ConstantVsgdStepper:
-    def __init__(self, dim: int, cfg: RunConfig):
-        self.hp = cfg.hp
-        self.state = constant.init_constant_state(dim, cfg.hp)
-
-    def step(self, theta, g_hat, eta):
-        hp = self.hp if eta == self.hp.eta else replace(self.hp, eta=eta)
-        _, theta = constant.cvsgd_step(self.state, theta, g_hat, hp)
-        return theta
-
-    def summaries(self):
-        sigma2 = (self.state.b_ghat / self.state.a_ghat) / (self.hp.k_g + 1.0)
-        return {
-            "mean_b_ghat": float(np.mean(self.state.b_ghat)),
-            "mean_sigma2": float(np.mean(sigma2)),
-        }
-
-
-class _SecondOrderStepper:
-    def __init__(self, dim: int, cfg: RunConfig):
-        self.hp = cfg.hp
-        self.state = second_order.init_so_state(dim, cfg.hp)
-
-    def step(self, theta, g_hat, eta):
-        hp = self.hp if eta == self.hp.eta else replace(self.hp, eta=eta)
-        _, theta = second_order.so_vsgd_step(self.state, theta, g_hat, hp)
-        return theta
-
-    def summaries(self):
-        st = self.state
-        sigma2_g = st.b_ghat * st.b_g / (st.a * (st.b_ghat + st.b_g))
-        return {
-            "mean_b_g": float(np.mean(st.b_g)),
-            "mean_b_ghat": float(np.mean(st.b_ghat)),
-            "mean_sigma2": float(np.mean(sigma2_g)),
-        }
-
-
-class _AdamStepper:
-    amsgrad = False
-
-    def __init__(self, dim: int, cfg: RunConfig):
-        self.params = baselines.AdamParams(
-            eta=cfg.hp.eta, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps
-        )
-        self.state = baselines.init_adam_state(dim, amsgrad=self.amsgrad)
-
-    def step(self, theta, g_hat, eta):
-        params = (
-            self.params if eta == self.params.eta else replace(self.params, eta=eta)
-        )
-        step_fn = baselines.amsgrad_step if self.amsgrad else baselines.adam_step
-        _, theta = step_fn(self.state, theta, g_hat, params)
-        return theta
-
-    def summaries(self):
-        return {}
-
-
-class _AmsgradStepper(_AdamStepper):
-    amsgrad = True
-
-
-class _SgdmStepper:
-    def __init__(self, dim: int, cfg: RunConfig):
-        self.eta = cfg.hp.eta
-        self.momentum = cfg.momentum
-        self.state = baselines.init_momentum_state(dim)
-
-    def step(self, theta, g_hat, eta):
-        params = baselines.SgdmParams(eta=eta, momentum=self.momentum)
-        _, theta = baselines.sgdm_step(self.state, theta, g_hat, params)
-        return theta
-
-    def summaries(self):
-        return {}
-
-
-class _SgdStepper:
-    def __init__(self, dim: int, cfg: RunConfig):
-        pass
-
-    def step(self, theta, g_hat, eta):
-        return baselines.sgd_step(theta, g_hat, eta)
-
-    def summaries(self):
-        return {}
-
-
-class _NsgdStepper(_SgdStepper):
-    def step(self, theta, g_hat, eta):
-        return baselines.normalized_sgd_step(theta, g_hat, eta)
-
-
-_STEPPERS = {
-    "vsgd": _VsgdStepper,
-    "constant-vsgd": _ConstantVsgdStepper,
-    "so-vsgd": _SecondOrderStepper,
-    "adam": _AdamStepper,
-    "amsgrad": _AmsgradStepper,
-    "sgd": _SgdStepper,
-    "sgdm": _SgdmStepper,
-    "nsgd": _NsgdStepper,
+# name -> (params from the config's hp, init(dim, hp), step, summaries or None).
+# step(state, theta, g_hat, params) returns theta; summaries(state, params)
+# returns (mean_b_g, mean_b_ghat, mean_sigma2), None where there is no such
+# latent.  Step functions are looked up on their modules at call time, so a
+# patched module attribute (a tracer, a test double) is the one called.
+_OPTIMIZERS = {
+    "vsgd": (
+        lambda hp: hp,
+        core.init_state,
+        lambda state, theta, g_hat, p: core.vsgd_step(state, theta, g_hat, p)[1],
+        lambda state, p: (
+            _mean(state.b_g), _mean(state.b_ghat), _mean(core.state_sigma2(state))
+        ),
+    ),
+    "constant-vsgd": (
+        lambda hp: hp,
+        constant.init_constant_state,
+        lambda state, theta, g_hat, p: constant.cvsgd_step(state, theta, g_hat, p)[1],
+        lambda state, p: (
+            None, _mean(state.b_ghat), _mean(constant.state_sigma2(state, p))
+        ),
+    ),
+    "so-vsgd": (
+        lambda hp: hp,
+        second_order.init_so_state,
+        lambda state, theta, g_hat, p: second_order.so_vsgd_step(state, theta, g_hat, p)[1],
+        lambda state, p: (
+            _mean(state.b_g), _mean(state.b_ghat), _mean(second_order.state_sigma2(state))
+        ),
+    ),
+    "adam": (
+        lambda hp: baselines.AdamParams(eta=hp.eta),
+        lambda dim, hp: baselines.init_adam_state(dim),
+        lambda state, theta, g_hat, p: baselines.adam_step(state, theta, g_hat, p)[1],
+        None,
+    ),
+    "amsgrad": (
+        lambda hp: baselines.AdamParams(eta=hp.eta),
+        lambda dim, hp: baselines.init_adam_state(dim, amsgrad=True),
+        lambda state, theta, g_hat, p: baselines.amsgrad_step(state, theta, g_hat, p)[1],
+        None,
+    ),
+    "sgd": (
+        lambda hp: hp,
+        lambda dim, hp: None,
+        lambda state, theta, g_hat, p: baselines.sgd_step(theta, g_hat, p.eta),
+        None,
+    ),
+    "sgdm": (
+        lambda hp: baselines.SgdmParams(eta=hp.eta),
+        lambda dim, hp: baselines.init_momentum_state(dim),
+        lambda state, theta, g_hat, p: baselines.sgdm_step(state, theta, g_hat, p)[1],
+        None,
+    ),
+    "nsgd": (
+        lambda hp: hp,
+        lambda dim, hp: None,
+        lambda state, theta, g_hat, p: baselines.normalized_sgd_step(theta, g_hat, p.eta),
+        None,
+    ),
 }
-OPTIMIZER_NAMES = frozenset(_STEPPERS)
+OPTIMIZER_NAMES = frozenset(_OPTIMIZERS)
+_NO_SUMMARIES = (None, None, None)
 
 
-def make_stepper(name: str, dim: int, cfg: RunConfig):
-    try:
-        factory = _STEPPERS[name]
-    except KeyError:
-        raise ConfigError(f"unknown optimizer {name!r}") from None
-    return factory(dim, cfg)
+class _Stepper:
+    """One optimizer's params and state over a run; ``step`` advances theta."""
+
+    def __init__(self, name: str, dim: int, hp: HyperParams):
+        make_params, init, self._step, self._summaries = _OPTIMIZERS[name]
+        self.params = make_params(hp)
+        self.state = init(dim, hp)
+
+    def step(self, theta, g_hat, eta):
+        if eta != self.params.eta:  # the scheduler moved eta
+            self.params = replace(self.params, eta=eta)
+        return self._step(self.state, theta, g_hat, self.params)
+
+    def summaries(self):
+        """(mean_b_g, mean_b_ghat, mean_sigma2) of the current state."""
+        if self._summaries is None:
+            return _NO_SUMMARIES
+        return self._summaries(self.state, self.params)
+
+
+def make_stepper(name: str, dim: int, cfg: RunConfig) -> _Stepper:
+    if name not in _OPTIMIZERS:
+        raise ConfigError(f"unknown optimizer {name!r}")
+    return _Stepper(name, dim, cfg.hp)
 
 
 def run(config: RunConfig, problem: Problem | None = None) -> RunResult:
@@ -268,11 +225,11 @@ def run(config: RunConfig, problem: Problem | None = None) -> RunResult:
         if bad or t % config.record_stride == 0 or t == config.steps:
             traces.append(
                 StepTrace(
-                    t=t,
-                    loss=loss,
-                    grad_norm=float(np.linalg.norm(g_hat)),
-                    theta_norm=float(np.linalg.norm(theta)),
-                    **stepper.summaries(),
+                    t,
+                    loss,
+                    float(np.linalg.norm(g_hat)),
+                    float(np.linalg.norm(theta)),
+                    *stepper.summaries(),
                 )
             )
         if bad:

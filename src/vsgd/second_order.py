@@ -34,6 +34,7 @@ __all__ = [
     "so_rates",
     "so_local_update",
     "so_vsgd_step",
+    "state_sigma2",
 ]
 
 
@@ -89,6 +90,11 @@ def guarded_denominator(mu_g: np.ndarray, eps: float) -> np.ndarray:
     return sign * np.maximum(np.abs(mu_g), eps)
 
 
+def state_sigma2(state: SecondOrderState) -> np.ndarray:
+    """Posterior gradient variance b_ghat*b_g / (a*(b_ghat + b_g)) of the state."""
+    return state.b_ghat * state.b_g / (state.a * (state.b_ghat + state.b_g))
+
+
 def so_local_update(
     state: SecondOrderState, g_hat: np.ndarray, hp: HyperParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -98,7 +104,7 @@ def so_local_update(
     b_h, b_g, b_ghat = state.b_h, state.b_g, state.b_ghat
     btot = b_g + b_h + b_ghat
     sigma2_h = b_h * b_g / (a * (b_h + b_g))
-    sigma2_g = b_ghat * b_g / (a * (b_ghat + b_g))
+    sigma2_g = state_sigma2(state)
     ratio = (g_hat - state.mu_g) / guarded_denominator(state.mu_g, hp.mu_guard_eps)
     mu_h_new = ratio * (b_h / btot) + state.mu_h * ((b_g + b_ghat) / btot)
     mu_g_new = g_hat * ((b_g + b_h) / btot) + (state.mu_h + state.mu_g) * (

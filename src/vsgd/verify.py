@@ -3,8 +3,9 @@
 Each check re-validates one of the library's structural guarantees at
 moderate scale: closed-form updates against the coordinate-ascent oracle,
 the Adam first-moment identity, the sign-step limit, and state positivity.
-The full-scale versions with the binding tolerances live in the test suite;
-these are the same properties packaged for quick command-line verification.
+The test suite holds the full-scale versions with the binding tolerances;
+its acceptance criteria 2 and 3 call the Adam-identity and sign-step checks
+here with full-scale arguments.
 """
 from __future__ import annotations
 

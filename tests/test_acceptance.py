@@ -17,20 +17,14 @@ from vsgd import (
     summarize,
     vsgd_step,
 )
-from vsgd.baselines import (
-    AdamParams,
-    SgdmParams,
-    adam_step,
-    init_adam_state,
-    init_momentum_state,
-    sgdm_step,
-)
+from vsgd.baselines import SgdmParams, init_momentum_state, sgdm_step
 from vsgd.constant import cvsgd_local, cvsgd_step, init_constant_state, second_moment_decomposition
 from vsgd.core import VsgdState
 from vsgd.oracle import coordinate_ascent_fixed_point, elbo_increase_check, one_pass
 from vsgd.problems import make_problem
 from vsgd.rng import make_rng, normal
 from vsgd.second_order import SecondOrderState, init_so_state, so_local_update, so_vsgd_step
+from vsgd.verify import check_adam_identity, check_normalized_sgd_limit
 
 
 def _report(num, name, ok, detail):
@@ -79,50 +73,17 @@ def test_criterion_01_oracle_agreement():
 
 
 def test_criterion_02_adam_first_moment_identity():
-    streams, steps = 100, 200
-    hp = HyperParams(eta=0.01, k_g=9.0)  # k_g = beta1/(1-beta1) for beta1=0.9
-    cfg = AdamParams(eta=0.01, beta1=0.9, beta2=0.999, eps=0.0)
-    cstate = init_constant_state(streams, hp)
-    astate = init_adam_state(streams)
-    th_c, th_a = np.zeros(streams), np.zeros(streams)
-    rng = make_rng(202)
-    worst_excess = -np.inf
-    for _ in range(steps):
-        g = normal(rng, streams)
-        cvsgd_step(cstate, th_c, g, hp)
-        adam_step(astate, th_a, g, cfg)
-        gap = np.abs(cstate.mu_g - astate.m)
-        excess = gap - (1e-12 * np.abs(astate.m) + 5e-15)
-        worst_excess = max(worst_excess, float(excess.max()))
-    _report(
-        2,
-        "Adam first-moment identity",
-        worst_excess <= 0.0,
-        f"{streams} streams x {steps} steps; worst excess over "
-        f"rtol 1e-12 (+5e-15 zero-crossing floor): {worst_excess:.2e}",
-    )
+    # k_g = 9 matches beta1 = 0.9; each step's gap is bounded by rtol 1e-12
+    # plus a 5e-15 zero-crossing floor
+    result = check_adam_identity(n_streams=100, n_steps=200, seed=202, k_g=9.0)
+    _report(2, "Adam first-moment identity", result.passed,
+            f"100 streams x 200 steps; {result.detail}")
 
 
 def test_criterion_03_normalized_sgd_limit():
-    streams, steps = 100, 200
-    eta = 0.05
-    hp = HyperParams(eta=eta, gamma=1e12, k_g=1e-12)
-    state = init_state(streams, hp)
-    theta = np.zeros(streams)
-    rng = make_rng(303)
-    worst = 0.0
-    for _ in range(steps):
-        mag = _log_uniform(rng, 1e-3, 1e3, streams)
-        g = mag * np.where(rng.random(streams) < 0.5, -1.0, 1.0)
-        before = theta.copy()
-        vsgd_step(state, theta, g, hp)
-        worst = max(worst, float(np.max(np.abs((theta - before) + eta * np.sign(g)))))
-    _report(
-        3,
-        "Normalized-SGD limit",
-        worst <= 1e-4 * eta,
-        f"max |step + eta*sign(g)| = {worst:.2e} (bound {1e-4 * eta:.1e})",
-    )
+    result = check_normalized_sgd_limit(n_streams=100, n_steps=200, seed=303)
+    _report(3, "Normalized-SGD limit", result.passed,
+            f"100 streams x 200 steps; {result.detail}")
 
 
 def test_criterion_04_sgdm_proportionality():

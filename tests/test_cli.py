@@ -7,6 +7,14 @@ from vsgd.errors import ConfigError
 from vsgd.traceio import CSV_HEADER, read_csv
 
 
+def exit_code(argv):
+    """main's exit status, whether it returns it or argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 class TestParseArgs:
     def test_run_defaults_carry_standard_hyperparameters(self, tmp_path):
         cfg = parse_args(
@@ -58,6 +66,16 @@ class TestParseArgs:
                 ["run", "--lr", "0.1,0.2", "--steps", "5", "--out", str(tmp_path)]
             )
 
+    @pytest.mark.parametrize("flag", ["--lr", "--weight-decay", "--seed"])
+    def test_sweep_rejects_non_numeric_list(self, tmp_path, flag):
+        argv = ["sweep", flag, "0.1,abc", "--steps", "5", "--out", str(tmp_path)]
+        assert exit_code(argv) == 2
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_fractional_seed_rejected(self, tmp_path, command):
+        argv = [command, "--seed", "1.7", "--steps", "5", "--out", str(tmp_path)]
+        assert exit_code(argv) == 2
+
     def test_sweep_builds_cross_product(self, tmp_path):
         cfg = parse_args(
             [
@@ -98,6 +116,22 @@ class TestConfigFile:
         cf = tmp_path / "bad.cfg"
         cf.write_text("optimiser=vsgd\n", encoding="utf-8")
         assert main(["run", "--config", str(cf), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("line", ["steps=abc", "kg=abc", "seed=1.5", "optimizer=adamw"])
+    def test_ill_typed_value_is_config_error(self, tmp_path, line):
+        cf = tmp_path / "bad.cfg"
+        cf.write_text(f"# header\n{line}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="bad.cfg:2"):
+            parse_args(["run", "--config", str(cf), "--out", str(tmp_path)])
+        assert main(["run", "--config", str(cf), "--out", str(tmp_path)]) == 2
+
+    def test_sweep_file_takes_value_lists(self, tmp_path):
+        cf = tmp_path / "sweep.cfg"
+        cf.write_text("lr=0.001,0.01\nseed=1,2\nsteps=5\n", encoding="utf-8")
+        cfg = parse_args(["sweep", "--config", str(cf), "--out", str(tmp_path)])
+        assert [(rc.hp.eta, rc.seed) for rc in cfg.run_configs] == [
+            (0.001, 1), (0.001, 2), (0.01, 1), (0.01, 2)
+        ]
 
     def test_missing_file_is_config_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope"), "--out", str(tmp_path)]) == 2

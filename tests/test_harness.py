@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from vsgd import ConfigError, HyperParams, RunConfig, run, summarize
-from vsgd.harness import RunResult, make_stepper, parse_scheduler
+from vsgd import ConfigError, HyperParams, NumericError, RunConfig, run, summarize
+from vsgd.harness import OPTIMIZER_NAMES, RunResult, make_stepper, parse_scheduler
 from vsgd.problems import Problem
 
 
@@ -84,17 +84,20 @@ class TestRun:
         r = run(cfg(steps=5, record_stride=1000))
         assert [tr.t for tr in r.traces] == [5]
 
-    def test_vsgd_traces_carry_state_summaries(self):
-        r = run(cfg(steps=5))
-        tr = r.traces[-1]
-        assert tr.mean_b_g is not None and tr.mean_b_g > 0
-        assert tr.mean_b_ghat is not None and tr.mean_b_ghat > 0
-        assert tr.mean_sigma2 is not None and tr.mean_sigma2 > 0
-
-    def test_baseline_traces_leave_summaries_empty(self):
-        r = run(cfg(optimizer="adam", steps=5))
-        tr = r.traces[-1]
-        assert tr.mean_b_g is None and tr.mean_b_ghat is None and tr.mean_sigma2 is None
+    @pytest.mark.parametrize("name", sorted(OPTIMIZER_NAMES))
+    def test_trace_state_columns(self, name):
+        filled = {
+            "vsgd": {"mean_b_g", "mean_b_ghat", "mean_sigma2"},
+            "so-vsgd": {"mean_b_g", "mean_b_ghat", "mean_sigma2"},
+            "constant-vsgd": {"mean_b_ghat", "mean_sigma2"},
+        }.get(name, set())
+        tr = run(cfg(optimizer=name, steps=5)).traces[-1]
+        for column in ("mean_b_g", "mean_b_ghat", "mean_sigma2"):
+            value = getattr(tr, column)
+            if column in filled:
+                assert value is not None and np.isfinite(value) and value > 0, column
+            else:
+                assert value is None, column
 
     @pytest.mark.parametrize(
         "name", ["vsgd", "constant-vsgd", "so-vsgd", "sgd", "sgdm", "adam", "amsgrad", "nsgd"]
@@ -210,3 +213,12 @@ class TestSteppers:
             th_c = c.step(th_c, g, 0.01)
             adam_step(a_state, th_a, g, a_cfg)
             np.testing.assert_allclose(c.state.mu_g, a_state.m, rtol=1e-12, atol=5e-15)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", sorted(OPTIMIZER_NAMES))
+    def test_non_finite_gradient_raises(self, name, bad):
+        stepper = make_stepper(name, 3, cfg(optimizer=name))
+        theta = np.ones(3)
+        with pytest.raises(NumericError):
+            stepper.step(theta, np.array([0.1, bad, -0.2]), 0.01)
+        np.testing.assert_array_equal(theta, np.ones(3))
