@@ -1,13 +1,15 @@
-"""Command-line front end: run experiments, sweeps, benchmarks, and checks.
+"""Command-line front end: run experiments, sweeps, and checks.
 
     vsgd run    --optimizer vsgd --problem quad --steps 100 --seed 1 --out d/
-    vsgd sweep  --optimizer vsgd --problem logreg --lr 0.001,0.01 \
-                --weight-decay 0,0.01 --seed 1,2,3 --steps 500 --out d/
+    vsgd sweep  --optimizer vsgd,adam --problem logreg --lr 0.001,0.01 \
+                --seed 1,2,3 --steps 500 --out d/
     vsgd verify [--suite oracle]
-    vsgd bench  [--problem quad:dim=1000000] [--steps 1000]
 
-A config file (--config FILE, flat key=value lines mirroring the long flag
-names) supplies defaults; explicit flags override it.  --out falls back to
+``sweep`` runs the cross product of its comma lists (optimizer, lr,
+weight-decay, seed), writes one trace CSV per run plus sweep_summary.csv,
+and prints each optimizer's best (lr, weight-decay) by mean final loss over
+seeds.  A config file (--config FILE, flat key=value lines mirroring the
+long flag names) supplies defaults; explicit flags override it.  --out falls back to
 the VSGD_OUT_DIR environment variable.  Exit codes: 0 success, 1
 verification or run failure, 2 I/O or configuration error.
 """
@@ -15,7 +17,9 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import os
+import statistics
 import sys
 from dataclasses import dataclass, field
 
@@ -53,6 +57,16 @@ def _comma_list(convert):
     return parse
 
 
+def optimizer_name(text: str) -> str:
+    """Argparse type: one registered optimizer name."""
+    name = text.strip()
+    if name not in OPTIMIZER_NAMES:
+        raise ValueError(
+            f"unknown optimizer {name!r}; expected one of {', '.join(sorted(OPTIMIZER_NAMES))}"
+        )
+    return name
+
+
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="vsgd", description="Variational SGD experiment runner"
@@ -62,11 +76,15 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     def add_run_flags(p: argparse.ArgumentParser, lists: bool) -> None:
         floats, ints = (_comma_list(float), _comma_list(int)) if lists else (float, int)
         p.add_argument("--config", help="key=value config file; flags override it")
-        p.add_argument(
-            "--optimizer",
-            choices=sorted(OPTIMIZER_NAMES),
-            default="vsgd",
-        )
+        if lists:
+            p.add_argument(
+                "--optimizer",
+                type=_comma_list(optimizer_name),
+                default="vsgd",
+                help=f"comma list of {', '.join(sorted(OPTIMIZER_NAMES))}",
+            )
+        else:
+            p.add_argument("--optimizer", choices=sorted(OPTIMIZER_NAMES), default="vsgd")
         p.add_argument("--problem", default="quad")
         p.add_argument("--lr", type=floats, default=None, help="learning rate")
         p.add_argument("--gamma", type=float, default=None, help="prior strength")
@@ -86,7 +104,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     add_run_flags(p_run, lists=False)
 
     p_sweep = sub.add_parser(
-        "sweep", help="cross-product over comma-separated lr/weight-decay/seed"
+        "sweep", help="cross-product over comma-separated optimizer/lr/weight-decay/seed"
     )
     add_run_flags(p_sweep, lists=True)
 
@@ -94,11 +112,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p_verify.add_argument(
         "--suite", action="append", choices=sorted(SUITES), default=None
     )
-
-    p_bench = sub.add_parser("bench", help="per-step wallclock, vsgd vs adam")
-    add_run_flags(p_bench, lists=False)
-    p_bench.set_defaults(problem="quad:dim=1000000")
-    return parser, {"run": p_run, "sweep": p_sweep, "bench": p_bench}
+    return parser, {"run": p_run, "sweep": p_sweep}
 
 
 def _apply_config_file(parser: argparse.ArgumentParser, path: str) -> None:
@@ -179,14 +193,13 @@ def parse_args(argv: list[str]) -> CliConfig:
         return CliConfig(command="verify", suites=ns.suite)
 
     out_dir = ns.out or os.environ.get("VSGD_OUT_DIR") or None
-    if ns.command in ("run", "sweep") and not out_dir:
+    if not out_dir:
         raise ConfigError("an output directory is required (--out or VSGD_OUT_DIR)")
 
+    optimizers = _values(ns.optimizer, default="vsgd")
     lrs = _values(ns.lr, default=0.01)
     decays = _values(ns.weight_decay, default=0.0)
     seeds = _values(ns.seed, default=0)
-    optimizers = ("vsgd", "adam") if ns.command == "bench" else (ns.optimizer,)
-    record_stride = max(ns.steps // 10, 1) if ns.command == "bench" else ns.record_stride
     configs = [
         RunConfig(
             optimizer=optimizer,
@@ -194,7 +207,7 @@ def parse_args(argv: list[str]) -> CliConfig:
             steps=ns.steps,
             seed=seed,
             hp=_hp_from_ns(ns, lr, decay),
-            record_stride=record_stride,
+            record_stride=ns.record_stride,
             scheduler=ns.scheduler,
         )
         for optimizer, lr, decay, seed in itertools.product(optimizers, lrs, decays, seeds)
@@ -242,7 +255,28 @@ def _cmd_run(cfg: CliConfig) -> int:
                     f"{int(diverged)}\n"
                 )
         print(f"sweep summary -> {spath}")
+        _print_ranking(summary_rows)
     return EXIT_FAILURE if failed else EXIT_OK
+
+
+def _print_ranking(summary_rows) -> None:
+    """Each optimizer's best (lr, weight decay) by mean final loss over seeds.
+
+    Optimizers are listed best first; a non-finite mean (a diverged seed)
+    ranks last.
+    """
+    finals: dict[tuple[str, float, float], list[float]] = {}
+    for rc, metrics, _ in summary_rows:
+        key = (rc.optimizer, rc.hp.eta, rc.hp.weight_decay)
+        finals.setdefault(key, []).append(metrics.final_loss)
+    means = [(statistics.fmean(losses), key) for key, losses in finals.items()]
+    means.sort(key=lambda m: m[0] if math.isfinite(m[0]) else math.inf)
+    print(f"{'optimizer':<14} {'lr':>8} {'weight_decay':>12} {'mean_final_loss':>16} seeds")
+    ranked = set()
+    for mean, (name, lr, decay) in means:
+        if name not in ranked:
+            ranked.add(name)
+            print(f"{name:<14} {lr:>8g} {decay:>12g} {mean:>16.6g} {len(finals[name, lr, decay])}")
 
 
 def _cmd_verify(cfg: CliConfig) -> int:
@@ -255,34 +289,12 @@ def _cmd_verify(cfg: CliConfig) -> int:
     return EXIT_OK if all_ok else EXIT_FAILURE
 
 
-def _cmd_bench(cfg: CliConfig) -> int:
-    per_step = {}
-    for rc in cfg.run_configs:
-        result = run(rc)
-        metrics = summarize(result)
-        per_step[rc.optimizer] = metrics.wallclock_per_step
-        print(f"{rc.optimizer}: {metrics.wallclock_per_step * 1e3:.3f} ms/step")
-    ratio = per_step["vsgd"] / per_step["adam"]
-    print(f"vsgd/adam per-step ratio: {ratio:.3f}")
-    if cfg.out_dir:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        path = os.path.join(cfg.out_dir, "bench.csv")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("optimizer,sec_per_step\n")
-            for name, sec in per_step.items():
-                fh.write(f"{name},{sec!r}\n")
-        print(f"bench table -> {path}")
-    return EXIT_OK
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         cfg = parse_args(argv)
         if cfg.command == "verify":
             return _cmd_verify(cfg)
-        if cfg.command == "bench":
-            return _cmd_bench(cfg)
         return _cmd_run(cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -58,7 +58,14 @@ class RunConfig:
             raise ConfigError(
                 "weight_decay is only supported by the vsgd optimizer"
             )
-        parse_scheduler(self.scheduler)  # fail fast on bad specs
+        # fail fast on bad specs; the schedule never increases eta, so if the
+        # last step's eta is positive every step's is
+        last_eta = self.hp.eta * parse_scheduler(self.scheduler)(self.steps)
+        if not last_eta > 0:
+            raise ConfigError(
+                f"scheduler {self.scheduler!r} drives eta to {last_eta!r} "
+                f"by step {self.steps}; eta must stay > 0"
+            )
 
 
 @dataclass

@@ -4,8 +4,8 @@ Each check re-validates one of the library's structural guarantees at
 moderate scale: closed-form updates against the coordinate-ascent oracle,
 the Adam first-moment identity, the sign-step limit, and state positivity.
 The test suite holds the full-scale versions with the binding tolerances;
-its acceptance criteria 2 and 3 call the Adam-identity and sign-step checks
-here with full-scale arguments.
+its acceptance criteria 1, 2 and 3 call the oracle, Adam-identity and
+sign-step checks here with full-scale arguments.
 """
 from __future__ import annotations
 
@@ -46,6 +46,7 @@ def check_oracle_agreement(n_cases: int = 2000, seed: int = 101) -> CheckResult:
     state = core.VsgdState(t=1, mu_g=mu_prev, b_g=b_g, b_ghat=b_ghat, a=a)
     mu, sigma2 = core.local_update(state, g_hat)
     # elementwise gamma/k_g: evaluate the closed forms directly
+    a_prime = gamma + 0.5
     b_g_prime = gamma + 0.5 * (sigma2 + (mu - mu_prev) ** 2)
     b_ghat_prime = k_g * gamma + 0.5 * (sigma2 + (mu - g_hat) ** 2)
     ref = oracle.one_pass(mu_prev, g_hat, a, b_g, b_ghat, gamma, k_g)
@@ -53,6 +54,7 @@ def check_oracle_agreement(n_cases: int = 2000, seed: int = 101) -> CheckResult:
     worst = max(
         _rel(mu, ref.mu),
         _rel(sigma2, ref.sigma2),
+        _rel(a_prime, ref.a_prime),
         _rel(b_g_prime, ref.b_g_prime),
         _rel(b_ghat_prime, ref.b_ghat_prime),
     )

@@ -11,7 +11,6 @@ from vsgd import (
     HyperParams,
     RunConfig,
     init_state,
-    local_update,
     run,
     state_sigma2,
     summarize,
@@ -19,12 +18,11 @@ from vsgd import (
 )
 from vsgd.baselines import SgdmParams, init_momentum_state, sgdm_step
 from vsgd.constant import cvsgd_local, cvsgd_step, init_constant_state, second_moment_decomposition
-from vsgd.core import VsgdState
-from vsgd.oracle import coordinate_ascent_fixed_point, elbo_increase_check, one_pass
+from vsgd.oracle import coordinate_ascent_fixed_point, elbo_increase_check
 from vsgd.problems import make_problem
 from vsgd.rng import make_rng, normal
 from vsgd.second_order import SecondOrderState, init_so_state, so_local_update, so_vsgd_step
-from vsgd.verify import check_adam_identity, check_normalized_sgd_limit
+from vsgd.verify import check_adam_identity, check_normalized_sgd_limit, check_oracle_agreement
 
 
 def _report(num, name, ok, detail):
@@ -38,37 +36,13 @@ def _log_uniform(rng, lo, hi, n):
 
 def test_criterion_01_oracle_agreement():
     start = time.perf_counter()
-    rng = make_rng(42)
-    n = 10_000
-    mu_prev = _log_uniform(rng, 1e-8, 1e2, n)
-    g_hat = _log_uniform(rng, 1e-8, 1e2, n)
-    a = _log_uniform(rng, 1e-8, 1e2, n)
-    b_g = _log_uniform(rng, 1e-8, 1e2, n)
-    b_ghat = _log_uniform(rng, 1e-8, 1e2, n)
-    gamma = _log_uniform(rng, 1e-8, 1e2, n)
-    k_g = _log_uniform(rng, 1e-8, 1e2, n)
-
-    state = VsgdState(t=1, mu_g=mu_prev, b_g=b_g, b_ghat=b_ghat, a=a)
-    mu, sigma2 = local_update(state, g_hat)
-    a_prime = gamma + 0.5
-    b_g_prime = gamma + 0.5 * (sigma2 + (mu - mu_prev) ** 2)
-    b_ghat_prime = k_g * gamma + 0.5 * (sigma2 + (mu - g_hat) ** 2)
-    ref = one_pass(mu_prev, g_hat, a, b_g, b_ghat, gamma, k_g)
-
-    rel = lambda x, r: float(np.max(np.abs(x - r) / np.abs(r)))
-    worst = max(
-        rel(mu, ref.mu),
-        rel(sigma2, ref.sigma2),
-        rel(a_prime, ref.a_prime),
-        rel(b_g_prime, ref.b_g_prime),
-        rel(b_ghat_prime, ref.b_ghat_prime),
-    )
+    result = check_oracle_agreement(n_cases=10_000, seed=42)
     elapsed = time.perf_counter() - start
     _report(
         1,
         "oracle agreement",
-        worst <= 1e-10 and elapsed < 10.0,
-        f"max rel diff {worst:.2e} over {n} inputs (bound 1e-10), {elapsed:.2f}s (< 10s)",
+        result.passed and elapsed < 10.0,
+        f"10000 inputs; {result.detail}, {elapsed:.2f}s (< 10s)",
     )
 
 

@@ -1,7 +1,12 @@
+import itertools
 import os
+import shlex
+from pathlib import Path
 
 import pytest
 
+import vsgd.cli
+from vsgd import harness
 from vsgd.cli import main, parse_args
 from vsgd.errors import ConfigError
 from vsgd.traceio import CSV_HEADER, read_csv
@@ -37,6 +42,11 @@ class TestParseArgs:
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             parse_args([])
+        assert exc.value.code == 2
+
+    def test_bench_is_not_a_subcommand(self):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["bench", "--steps", "10"])
         assert exc.value.code == 2
 
     def test_unknown_flag_is_usage_error(self):
@@ -91,6 +101,29 @@ class TestParseArgs:
         etas = {rc.hp.eta for rc in cfg.run_configs}
         assert etas == {0.001, 0.01}
 
+    def test_sweep_crosses_optimizer_list(self, tmp_path):
+        cfg = parse_args(
+            ["sweep", "--optimizer", "vsgd,adam", "--seed", "1,2", "--out", str(tmp_path)]
+        )
+        assert [(rc.optimizer, rc.seed) for rc in cfg.run_configs] == [
+            ("vsgd", 1), ("vsgd", 2), ("adam", 1), ("adam", 2)
+        ]
+
+    def test_sweep_rejects_unknown_optimizer_in_list(self, tmp_path):
+        argv = ["sweep", "--optimizer", "vsgd,adamw", "--steps", "5", "--out", str(tmp_path)]
+        assert exit_code(argv) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_schedule_that_underflows_eta_exits_two_before_writing(self, tmp_path):
+        out = tmp_path / "out"
+        argv = [
+            "sweep", "--optimizer", "vsgd", "--problem", "quad:dim=2",
+            "--steps", "1200", "--seed", "0,1", "--scheduler", "halve:1",
+            "--out", str(out),
+        ]
+        assert exit_code(argv) == 2
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_file_supplies_defaults_and_flags_override(self, tmp_path):
@@ -124,6 +157,13 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="bad.cfg:2"):
             parse_args(["run", "--config", str(cf), "--out", str(tmp_path)])
         assert main(["run", "--config", str(cf), "--out", str(tmp_path)]) == 2
+
+    def test_unknown_optimizer_in_sweep_file_rejected(self, tmp_path):
+        cf = tmp_path / "bad.cfg"
+        cf.write_text("seed=1,2\noptimizer=vsgd,adamw\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="bad.cfg:2.*adamw"):
+            parse_args(["sweep", "--config", str(cf), "--out", str(tmp_path)])
+        assert main(["sweep", "--config", str(cf), "--out", str(tmp_path)]) == 2
 
     def test_sweep_file_takes_value_lists(self, tmp_path):
         cf = tmp_path / "sweep.cfg"
@@ -218,6 +258,55 @@ class TestSweepCommand:
         assert len(runs) == 4
         assert "sweep_summary.csv" in files
 
+    def test_multi_optimizer_sweep_matches_single_runs(self, tmp_path, capsys):
+        common = ["--problem", "quad:dim=3,noise=0.5", "--steps", "40", "--record-stride", "3"]
+        sweep_dir = tmp_path / "sweep"
+        code = main(
+            ["sweep", "--optimizer", "vsgd,adam,sgd", "--lr", "0.01,0.05",
+             "--seed", "1,2", *common, "--out", str(sweep_dir)]
+        )
+        assert code == 0
+        ranking = capsys.readouterr().out.split("sweep summary -> ", 1)[1].splitlines()[2:]
+        runs = 3 * 2 * 2
+        assert len(list(sweep_dir.iterdir())) == runs + 1
+        summary = (sweep_dir / "sweep_summary.csv").read_text().splitlines()
+        assert len(summary) == runs + 1
+        for optimizer, lr, seed in itertools.product(("vsgd", "adam", "sgd"), ("0.01", "0.05"), "12"):
+            single_dir = tmp_path / f"{optimizer}-{lr}-{seed}"
+            argv = ["run", "--optimizer", optimizer, "--lr", lr, "--seed", seed, *common]
+            assert main([*argv, "--out", str(single_dir)]) == 0
+            (trace,) = single_dir.iterdir()
+            assert trace.read_bytes() == (sweep_dir / trace.name).read_bytes()
+
+        # one ranking line per optimizer: its best lr, by mean final loss over seeds
+        finals = {}
+        for row in summary[1:]:
+            head, lr, _, _, final = row.rsplit(",", 7)[:5]  # the problem holds commas
+            finals.setdefault((head.split(",")[0], float(lr)), []).append(float(final))
+        means = {key: sum(v) / len(v) for key, v in finals.items()}
+        names = [line.split()[0] for line in ranking]
+        losses = [float(line.split()[3]) for line in ranking]
+        assert sorted(names) == ["adam", "sgd", "vsgd"]
+        assert losses == sorted(losses)
+        for line in ranking:
+            optimizer, lr = line.split()[:2]
+            best = min(m for (o, _), m in means.items() if o == optimizer)
+            assert means[optimizer, float(lr)] == best
+
+    def test_ranking_puts_non_finite_means_last(self, tmp_path, capsys, monkeypatch):
+        def run_with_nan_adam(rc):
+            result = harness.run(rc)
+            if rc.optimizer == "adam":
+                result.traces[-1].loss = float("nan")
+            return result
+
+        monkeypatch.setattr(vsgd.cli, "run", run_with_nan_adam)
+        argv = ["sweep", "--optimizer", "adam,sgd,vsgd", "--steps", "20", "--seed", "1,2"]
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        ranking = capsys.readouterr().out.split("sweep summary -> ", 1)[1].splitlines()[2:]
+        assert [line.split()[0] for line in ranking][-1] == "adam"
+        assert ranking[-1].split()[3] == "nan"
+
 
 class TestVerifyCommand:
     def test_single_suite_filter(self, capsys):
@@ -249,27 +338,33 @@ class TestVerifyCommand:
             parse_args(["verify", "--suite", "nope"])
 
 
-class TestBenchCommand:
-    def test_default_problem_is_large_quadratic(self):
-        cfg = parse_args(["bench", "--steps", "10"])
-        assert all(rc.problem == "quad:dim=1000000" for rc in cfg.run_configs)
-        assert {rc.optimizer for rc in cfg.run_configs} == {"vsgd", "adam"}
+def _readme_commands():
+    """Every ``vsgd ...`` command in README's sh blocks, continuations joined."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    commands, in_sh, pending = [], False, ""
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+            continue
+        if not in_sh:
+            continue
+        pending += line.split("#", 1)[0].strip()
+        if pending.endswith("\\"):
+            pending = pending[:-1] + " "
+            continue
+        if pending.startswith("vsgd "):
+            commands.append(pending)
+        pending = ""
+    return commands
 
-    def test_explicit_problem_respected(self):
-        cfg = parse_args(["bench", "--steps", "10", "--problem", "quad:dim=500"])
-        assert all(rc.problem == "quad:dim=500" for rc in cfg.run_configs)
 
-    def test_small_bench_reports_ratio(self, tmp_path, capsys):
-        code = main(
-            [
-                "bench",
-                "--problem", "quad:dim=1000",
-                "--steps", "30",
-                "--seed", "0",
-                "--out", str(tmp_path),
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "ratio" in out
-        assert (tmp_path / "bench.csv").exists()
+def test_readme_commands_are_found():
+    subcommands = {shlex.split(c)[1] for c in _readme_commands()}
+    assert {"run", "sweep", "verify"} <= subcommands
+
+
+@pytest.mark.parametrize("command", _readme_commands(), ids=lambda c: shlex.split(c)[1])
+def test_readme_cli_lines_parse(command, tmp_path, monkeypatch):
+    monkeypatch.setenv("VSGD_OUT_DIR", str(tmp_path))
+    cfg = parse_args(shlex.split(command)[1:])
+    assert cfg.command == shlex.split(command)[1]

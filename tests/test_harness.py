@@ -40,6 +40,14 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             cfg(scheduler="warmup:10")
 
+    @pytest.mark.parametrize("optimizer", sorted(OPTIMIZER_NAMES))
+    def test_schedule_that_underflows_eta_rejected_up_front(self, optimizer):
+        # 0.01 * 0.5**1199 underflows to 0.0; 0.01 * 0.5**999 is still > 0
+        with pytest.raises(ConfigError, match="eta must stay > 0"):
+            cfg(optimizer=optimizer, steps=1200, scheduler="halve:1")
+        result = run(cfg(optimizer=optimizer, steps=1000, scheduler="halve:1"))
+        assert result.steps_run == 1000
+
 
 class TestScheduler:
     def test_none(self):
