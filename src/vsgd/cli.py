@@ -16,6 +16,7 @@ verification or run failure, 2 I/O or configuration error.
 from __future__ import annotations
 
 import argparse
+import csv
 import itertools
 import math
 import os
@@ -242,17 +243,19 @@ def _cmd_run(cfg: CliConfig) -> int:
         failed = failed or result.diverged
     if len(summary_rows) > 1:
         spath = os.path.join(cfg.out_dir, "sweep_summary.csv")
-        with open(spath, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(
-                "optimizer,problem,lr,weight_decay,seed,final_loss,best_loss,"
-                "sec_per_step,diverged\n"
+        with open(spath, "w", encoding="utf-8", newline="") as fh:
+            # the writer quotes a problem spec that holds commas
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(
+                ["optimizer", "problem", "lr", "weight_decay", "seed",
+                 "final_loss", "best_loss", "sec_per_step", "diverged"]
             )
             for rc, metrics, diverged in summary_rows:
-                fh.write(
-                    f"{rc.optimizer},{rc.problem},{rc.hp.eta!r},"
-                    f"{rc.hp.weight_decay!r},{rc.seed},{metrics.final_loss!r},"
-                    f"{metrics.best_loss!r},{metrics.wallclock_per_step!r},"
-                    f"{int(diverged)}\n"
+                writer.writerow(
+                    [rc.optimizer, rc.problem, repr(rc.hp.eta),
+                     repr(rc.hp.weight_decay), rc.seed, repr(metrics.final_loss),
+                     repr(metrics.best_loss), repr(metrics.wallclock_per_step),
+                     int(diverged)]
                 )
         print(f"sweep summary -> {spath}")
         _print_ranking(summary_rows)

@@ -20,9 +20,11 @@ sqrt(mu'^2 + sigma2) = sqrt(E[g^2]) acts as a local Lipschitz estimate, so
 every per-element displacement is bounded by eta.  Elements are modeled
 independently; all state arrays are flat and parallel, in float64.
 
-``vsgd_step`` runs a fused in-place kernel (scratch buffers live on the
-state) for throughput; the component functions below are the pure reference
-forms and agree with the kernel up to float associativity.
+``vsgd_step`` and ``minibatch_step`` run one fused in-place kernel
+(scratch buffers live on the state) for throughput; a mini-batch block
+feeds it the per-sample averages of the squared residuals and local means.
+The component functions below are the pure reference forms and agree with
+the kernel up to float associativity.
 """
 from __future__ import annotations
 
@@ -184,7 +186,45 @@ def vsgd_step(
     global_interpolate -> apply_step, executed as a fused in-place kernel.
     ``state`` and ``theta`` are updated in place and returned.
     """
-    g_hat = _checked_gradient(g_hat, state.dim)
+    return _fused_step(state, theta, _checked_gradient(g_hat, state.dim), hp)
+
+
+def minibatch_step(
+    state: VsgdState,
+    theta: np.ndarray,
+    g_hat_samples: np.ndarray,
+    hp: HyperParams,
+) -> tuple[VsgdState, np.ndarray]:
+    """Step from M per-sample gradients treated separately.
+
+    Each sample gets its own local mean mu_i; the intermediate rates average
+    the per-sample squared residuals, and the theta update uses the average
+    of the mu_i.  Cost grows linearly with M.  M=1 is vsgd_step, and M>1
+    runs its kernel, so identical samples give the single-sample step
+    bitwise.  Updates state and theta in place.
+    """
+    samples = np.asarray(g_hat_samples, dtype=np.float64)
+    if samples.size == 0:
+        raise ValueError("minibatch_step needs at least one gradient sample")
+    if samples.ndim == 1:
+        samples = samples[None, :]
+    if samples.ndim != 2 or samples.shape[1] != state.dim:
+        raise ValueError(
+            f"sample block shape {samples.shape} incompatible with state dim {state.dim}"
+        )
+    if samples.shape[0] == 1:
+        return vsgd_step(state, theta, samples[0], hp)
+    if not np.isfinite(samples).all():
+        raise NumericError("non-finite gradient sample rejected")
+    return _fused_step(state, theta, samples, hp)
+
+
+def _fused_step(state: VsgdState, theta: np.ndarray, g_hat: np.ndarray, hp: HyperParams):
+    """In-place step kernel for a checked gradient (dim,) or block (M, dim).
+
+    A block averages its per-sample squared residuals and local means into
+    the buffers a single gradient fills; the rest of the step is shared.
+    """
     t = state.t + 1
     rho1, rho2 = svi_rates(t, hp)
     if state._work is None or state._work[0].shape != state.mu_g.shape:
@@ -199,22 +239,35 @@ def vsgd_step(
     sig /= state.a  # sigma2; uses the pre-step shape
     # residuals in product form (no cancellation): mu_new - mu = w_obs*diff
     # and mu_new - g_hat = -w_prev*diff, with diff = g_hat - mu
-    np.subtract(g_hat, mu, out=obs)
-    np.multiply(w_obs, obs, out=dev)
-    obs *= w_prev
-    mu *= w_prev
-    np.multiply(g_hat, w_obs, out=w_obs)
-    mu += w_obs  # mu is now mu_new
+    if g_hat.ndim == 1:
+        np.subtract(g_hat, mu, out=obs)
+        np.multiply(w_obs, obs, out=dev)
+        obs *= w_prev
+        mu *= w_prev
+        np.multiply(g_hat, w_obs, out=w_obs)
+        mu += w_obs  # mu is now mu_new
+        dev *= dev
+        obs *= obs
+    else:
+        diff = g_hat - mu
+        sq = w_obs * diff
+        sq *= sq
+        np.mean(sq, axis=0, out=dev)
+        np.multiply(w_prev, diff, out=sq)
+        sq *= sq
+        np.mean(sq, axis=0, out=obs)
+        mu *= w_prev
+        np.multiply(g_hat, w_obs, out=sq)
+        sq += mu
+        np.mean(sq, axis=0, out=mu)  # mu_new: the mean of the mu_i
 
     # b_g <- (1-rho1)*b_g + rho1*(gamma + 0.5*(sigma2 + dev^2)), folded
-    dev *= dev
     dev += sig
     b_g *= 1.0 - rho1
     dev *= 0.5 * rho1
     b_g += dev
     b_g += rho1 * hp.gamma
 
-    obs *= obs
     obs += sig
     b_ghat *= 1.0 - rho2
     obs *= 0.5 * rho2
@@ -235,81 +288,8 @@ def vsgd_step(
     return state, theta
 
 
-def minibatch_step(
-    state: VsgdState,
-    theta: np.ndarray,
-    g_hat_samples: np.ndarray,
-    hp: HyperParams,
-) -> tuple[VsgdState, np.ndarray]:
-    """Step from M per-sample gradients treated separately.
-
-    Each sample gets its own local mean mu_i; the intermediate rates average
-    the per-sample squared residuals, and the theta update uses the average
-    of the mu_i.  Cost grows linearly with M; M=1 is delegated to vsgd_step
-    and the M>1 path mirrors its operation order, so a batch of identical
-    samples reduces to the single-sample step bitwise.  Updates state and
-    theta in place.
-    """
-    samples = np.asarray(g_hat_samples, dtype=np.float64)
-    if samples.size == 0:
-        raise ValueError("minibatch_step needs at least one gradient sample")
-    if samples.ndim == 1:
-        samples = samples[None, :]
-    if samples.ndim != 2 or samples.shape[1] != state.dim:
-        raise ValueError(
-            f"sample block shape {samples.shape} incompatible with state dim {state.dim}"
-        )
-    if samples.shape[0] == 1:
-        return vsgd_step(state, theta, samples[0], hp)
-    if not np.isfinite(samples).all():
-        raise NumericError("non-finite gradient sample rejected")
-
-    t = state.t + 1
-    rho1, rho2 = svi_rates(t, hp)
-    mu, b_g, b_ghat = state.mu_g, state.b_g, state.b_ghat
-
-    s = b_g + b_ghat
-    w_obs = b_g / s
-    w_prev = b_ghat / s
-    sig = w_obs * b_ghat
-    sig /= state.a
-    diff_i = samples - mu  # (M, dim)
-    dev_i = w_obs * diff_i  # per-sample mu_i - mu_prev
-    obs_i = w_prev * diff_i  # per-sample -(mu_i - g_hat_i)
-    mu_i = mu * w_prev + samples * w_obs  # per-sample local means
-
-    state.mu_g = mu = mu_i.mean(axis=0)  # averaged mu_new for the theta step
-
-    sys_sq = np.mean(dev_i * dev_i, axis=0)
-    sys_sq += sig
-    b_g *= 1.0 - rho1
-    sys_sq *= 0.5 * rho1
-    b_g += sys_sq
-    b_g += rho1 * hp.gamma
-
-    obs_sq = np.mean(obs_i * obs_i, axis=0)
-    obs_sq += sig
-    b_ghat *= 1.0 - rho2
-    obs_sq *= 0.5 * rho2
-    b_ghat += obs_sq
-    b_ghat += rho2 * (hp.k_g * hp.gamma)
-
-    denom = mu * mu
-    denom += sig
-    np.sqrt(denom, out=denom)
-    step = mu / denom
-    step *= hp.eta
-    if hp.weight_decay > 0.0:
-        theta *= 1.0 - hp.eta * hp.weight_decay
-    theta -= step
-
-    state.t = t
-    state.a = hp.gamma + 0.5
-    return state, theta
-
-
 def state_sigma2(state: VsgdState) -> np.ndarray:
-    """Posterior gradient variance implied by the current rates."""
+    """Posterior gradient variance implied by a VSGD or second-order state's rates."""
     return state.b_g * state.b_ghat / (state.a * (state.b_g + state.b_ghat))
 
 

@@ -118,6 +118,10 @@ def _mean(x: np.ndarray) -> float:
     return float(np.mean(x))
 
 
+def _rate_summaries(state, params):
+    return _mean(state.b_g), _mean(state.b_ghat), _mean(core.state_sigma2(state))
+
+
 # name -> (params from the config's hp, init(dim, hp), step, summaries or None).
 # step(state, theta, g_hat, params) returns theta; summaries(state, params)
 # returns (mean_b_g, mean_b_ghat, mean_sigma2), None where there is no such
@@ -128,9 +132,7 @@ _OPTIMIZERS = {
         lambda hp: hp,
         core.init_state,
         lambda state, theta, g_hat, p: core.vsgd_step(state, theta, g_hat, p)[1],
-        lambda state, p: (
-            _mean(state.b_g), _mean(state.b_ghat), _mean(core.state_sigma2(state))
-        ),
+        _rate_summaries,
     ),
     "constant-vsgd": (
         lambda hp: hp,
@@ -144,9 +146,7 @@ _OPTIMIZERS = {
         lambda hp: hp,
         second_order.init_so_state,
         lambda state, theta, g_hat, p: second_order.so_vsgd_step(state, theta, g_hat, p)[1],
-        lambda state, p: (
-            _mean(state.b_g), _mean(state.b_ghat), _mean(second_order.state_sigma2(state))
-        ),
+        _rate_summaries,
     ),
     "adam": (
         lambda hp: baselines.AdamParams(eta=hp.eta),

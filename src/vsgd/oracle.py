@@ -13,9 +13,9 @@ This module recomputes the updates through a different algebraic route than
 the optimizer: the local step matches Gaussian natural parameters (sum of
 expected precisions, precision-weighted mean) and the global step
 accumulates the expected sufficient statistic E[(x - m)^2] onto the prior
-rate.  ``one_pass`` exposes the single local+global sweep the optimizer
-takes; ``coordinate_ascent_fixed_point`` iterates the sweep to convergence;
-the analytic ELBO certifies that every sweep is an ascent step.
+rate.  ``coordinate_ascent_fixed_point`` iterates the sweep to
+convergence; ``one_pass`` is its first sweep alone, the one the optimizer
+takes; the analytic ELBO certifies that every sweep is an ascent step.
 
 Everything is elementwise and vectorized, so thousands of independent cases
 run as one array call.
@@ -134,22 +134,12 @@ def one_pass(mu_prev, g_hat, a, b_g, b_ghat, gamma, k_g) -> OracleResult:
     """The single local+global sweep corresponding to one optimizer step.
 
     The local pass uses the supplied shape a (the pre-step value); the
-    global pass then produces the constant shape gamma + 0.5.
+    global pass then produces the constant shape gamma + 0.5.  This is the
+    fixed-point iteration's first sweep, so the residual is inf and
+    ``converged`` is False.
     """
-    mu_prev, g_hat, a, b_g, b_ghat = np.broadcast_arrays(
-        *(np.asarray(v, dtype=np.float64) for v in (mu_prev, g_hat, a, b_g, b_ghat))
-    )
-    mu, sigma2, dev_prev, dev_obs = _local_pass(mu_prev, g_hat, a, b_g, a, b_ghat)
-    a_p, b_g_p, b_ghat_p = _global_pass(sigma2, dev_prev, dev_obs, gamma, k_g)
-    return OracleResult(
-        mu=mu,
-        sigma2=sigma2,
-        a_prime=np.broadcast_to(np.asarray(a_p, dtype=np.float64), mu.shape),
-        b_g_prime=b_g_p,
-        b_ghat_prime=b_ghat_p,
-        iterations=1,
-        residual=math.nan,
-        converged=False,
+    return coordinate_ascent_fixed_point(
+        mu_prev, g_hat, a, b_g, b_ghat, gamma, k_g, max_iter=1
     )
 
 
@@ -167,40 +157,41 @@ def coordinate_ascent_fixed_point(
 ) -> OracleResult:
     """Alternate local/global sweeps until the parameters stop moving.
 
-    The residual is the largest mixed absolute/relative change
-    |delta|/(1 + |value|) across (mu, sigma2, b_g, b_ghat); non-convergence
-    within max_iter is reported through `converged`/`residual`, never
-    silently truncated.
+    The first sweep starts from the inputs.  The residual is the largest
+    mixed absolute/relative change |delta|/(1 + |value|) across (mu, sigma2,
+    b_g, b_ghat) between consecutive sweeps (inf after a single sweep);
+    non-convergence within max_iter is reported through
+    `converged`/`residual`, never silently truncated.
     """
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     mu_prev, g_hat, a, b_g, b_ghat = np.broadcast_arrays(
         *(np.asarray(v, dtype=np.float64) for v in (mu_prev, g_hat, a, b_g, b_ghat))
     )
     if np.any(b_g <= 0) or np.any(b_ghat <= 0) or np.any(a <= 0):
         raise ValueError("gamma-rate and shape inputs must be positive")
-    u = mu_prev
 
-    mu, sigma2, dev_prev, dev_obs = _local_pass(u, g_hat, a, b_g, a, b_ghat)
-    a_cur, bg_cur, bgh_cur = _global_pass(sigma2, dev_prev, dev_obs, gamma, k_g)
-    a_cur = np.broadcast_to(np.asarray(a_cur, dtype=np.float64), mu.shape)
-    trace = [Iterate(mu, sigma2, a_cur, bg_cur, bgh_cur)] if return_trace else None
-
-    iterations = 1
+    a_cur, bg_cur, bgh_cur = a, b_g, b_ghat
+    mu = sigma2 = None
+    trace = [] if return_trace else None
+    iterations = 0
     residual = math.inf
     converged = False
     while iterations < max_iter:
-        mu_n, sigma2_n, dev_prev_n, dev_obs_n = _local_pass(
-            u, g_hat, a_cur, bg_cur, a_cur, bgh_cur
+        mu_n, sigma2_n, dev_prev, dev_obs = _local_pass(
+            mu_prev, g_hat, a_cur, bg_cur, a_cur, bgh_cur
         )
-        a_n, bg_n, bgh_n = _global_pass(sigma2_n, dev_prev_n, dev_obs_n, gamma, k_g)
-        a_n = np.broadcast_to(np.asarray(a_n, dtype=np.float64), mu.shape)
-        residual = max(
-            _mixed_change(mu_n, mu),
-            _mixed_change(sigma2_n, sigma2),
-            _mixed_change(bg_n, bg_cur),
-            _mixed_change(bgh_n, bgh_cur),
-        )
+        a_n, bg_n, bgh_n = _global_pass(sigma2_n, dev_prev, dev_obs, gamma, k_g)
+        a_n = np.broadcast_to(np.asarray(a_n, dtype=np.float64), mu_n.shape)
+        if iterations:
+            residual = max(
+                _mixed_change(mu_n, mu),
+                _mixed_change(sigma2_n, sigma2),
+                _mixed_change(bg_n, bg_cur),
+                _mixed_change(bgh_n, bgh_cur),
+            )
         mu, sigma2, a_cur, bg_cur, bgh_cur = mu_n, sigma2_n, a_n, bg_n, bgh_n
         iterations += 1
         if trace is not None:

@@ -10,6 +10,14 @@ their sum:
     mu_h' = ((g_hat - mu_g)/mu_g) * b_h/btot + mu_h * (b_g + b_ghat)/btot
     mu_g' = g_hat * (b_g + b_h)/btot + (mu_h + mu_g) * b_ghat/btot
 
+The global rates add half an expected squared residual to their priors;
+for b_g it is E[(g - mu_g - h)^2] under independent q(g) and q(h), so
+every intermediate rate exceeds its prior by construction:
+
+    b_h'    = k_h*gamma + 0.5*((mu_h' - mu_h)^2 + sigma2_h)
+    b_g'    = gamma     + 0.5*((mu_g' - mu_g - mu_h')^2 + sigma2_g + sigma2_h)
+    b_ghat' = k_g*gamma + 0.5*((mu_g' - g_hat)^2 + sigma2_g)
+
 The gradient-ratio term divides by the previous mean mu_g, which may be
 zero; the denominator is guarded as sign(mu_g)*max(|mu_g|, mu_guard_eps)
 (sign(0) taken as +1).  Rates interpolate with rho = 1 at t=1 and
@@ -26,7 +34,7 @@ import numpy as np
 
 from .config import HyperParams
 from .errors import ConfigError, NumericError
-from .core import _checked_gradient
+from .core import _checked_gradient, state_sigma2
 
 __all__ = [
     "SecondOrderState",
@@ -34,7 +42,6 @@ __all__ = [
     "so_rates",
     "so_local_update",
     "so_vsgd_step",
-    "state_sigma2",
 ]
 
 
@@ -90,11 +97,6 @@ def guarded_denominator(mu_g: np.ndarray, eps: float) -> np.ndarray:
     return sign * np.maximum(np.abs(mu_g), eps)
 
 
-def state_sigma2(state: SecondOrderState) -> np.ndarray:
-    """Posterior gradient variance b_ghat*b_g / (a*(b_ghat + b_g)) of the state."""
-    return state.b_ghat * state.b_g / (state.a * (state.b_ghat + state.b_g))
-
-
 def so_local_update(
     state: SecondOrderState, g_hat: np.ndarray, hp: HyperParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -127,16 +129,10 @@ def so_vsgd_step(
     mu_g_prev, mu_h_prev = state.mu_g, state.mu_h
 
     b_h_prime = hp.k_h * hp.gamma + 0.5 * (sigma2_h + (mu_h_new - mu_h_prev) ** 2)
-    # as-written expansion; it mixes new and previous means and is not a
-    # plain squared residual
+    # expected squared residual E[(g - mu_g - h)^2] under independent
+    # q(g), q(h): nonnegative, so b_g stays positive
     b_g_prime = hp.gamma + 0.5 * (
-        sigma2_g
-        + mu_g_new * mu_g_new
-        - 2.0 * mu_g_new * (mu_g_prev + mu_h_prev)
-        + mu_g_prev * mu_g_prev
-        + 2.0 * mu_g_prev * mu_h_prev
-        + sigma2_h
-        + mu_h_new * mu_h_new
+        (mu_g_new - mu_g_prev - mu_h_new) ** 2 + sigma2_g + sigma2_h
     )
     b_ghat_prime = hp.k_g * hp.gamma + 0.5 * (sigma2_g + (mu_g_new - g_hat) ** 2)
 

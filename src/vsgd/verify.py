@@ -4,8 +4,8 @@ Each check re-validates one of the library's structural guarantees at
 moderate scale: closed-form updates against the coordinate-ascent oracle,
 the Adam first-moment identity, the sign-step limit, and state positivity.
 The test suite holds the full-scale versions with the binding tolerances;
-its acceptance criteria 1, 2 and 3 call the oracle, Adam-identity and
-sign-step checks here with full-scale arguments.
+its acceptance criteria 1, 2, 3 and 5 call the oracle, Adam-identity,
+sign-step and positivity checks here with full-scale arguments.
 """
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ import numpy as np
 
 from . import baselines, constant, core, oracle
 from .config import HyperParams
+from .problems import make_problem
 from .rng import make_rng, normal
 
 __all__ = ["CheckResult", "SUITES", "run_suites"]
@@ -124,29 +125,40 @@ def check_normalized_sgd_limit(
     )
 
 
-def check_positivity(n_steps: int = 2000, dim: int = 8, seed: int = 104) -> CheckResult:
-    """a stays exactly gamma+0.5 and rates/variances stay positive."""
-    rng = make_rng(seed)
+def check_positivity(
+    n_steps: int = 2000,
+    seed: int = 104,
+    problems: tuple[str, ...] = ("quad:dim=8,noise=1.0",),
+) -> CheckResult:
+    """a stays exactly gamma+0.5 and rates/variances stay positive.
+
+    VSGD runs n_steps from each problem's theta0 on that problem's noisy
+    gradients, with the random stream reseeded from seed per problem.
+    """
     hp = HyperParams(eta=0.01)
-    state = core.init_state(dim, hp)
-    theta = np.ones(dim)
     expected_a = hp.gamma + 0.5
-    for t in range(1, n_steps + 1):
-        g = theta + normal(rng, dim)
-        core.vsgd_step(state, theta, g, hp)
-        if state.a != expected_a:
-            return CheckResult("positivity", False, f"shape drifted at t={t}")
-        smallest = min(
-            float(np.min(state.b_g)),
-            float(np.min(state.b_ghat)),
-            float(np.min(core.state_sigma2(state))),
-        )
-        if not smallest > 0.0:
-            return CheckResult(
-                "positivity", False, f"nonpositive rate/variance at t={t}"
+    for spec in problems:
+        problem = make_problem(spec)
+        state = core.init_state(problem.dim, hp)
+        theta = problem.theta0.copy()
+        rng = make_rng(seed)
+        for t in range(1, n_steps + 1):
+            core.vsgd_step(state, theta, problem.sample_grad(theta, rng), hp)
+            if state.a != expected_a:
+                return CheckResult("positivity", False, f"{spec}: shape drifted at t={t}")
+            smallest = min(
+                float(np.min(state.b_g)),
+                float(np.min(state.b_ghat)),
+                float(np.min(core.state_sigma2(state))),
             )
+            if not smallest > 0.0:
+                return CheckResult(
+                    "positivity", False, f"{spec}: nonpositive rate/variance at t={t}"
+                )
     return CheckResult(
-        "positivity", True, f"{n_steps} steps: a = gamma+0.5 exact, min > 0"
+        "positivity",
+        True,
+        f"{n_steps} steps on {len(problems)} problem(s): a = gamma+0.5 exact, min > 0",
     )
 
 

@@ -7,22 +7,19 @@ import time
 
 import numpy as np
 
-from vsgd import (
-    HyperParams,
-    RunConfig,
-    init_state,
-    run,
-    state_sigma2,
-    summarize,
-    vsgd_step,
-)
+from vsgd import HyperParams, RunConfig, run, summarize
 from vsgd.baselines import SgdmParams, init_momentum_state, sgdm_step
 from vsgd.constant import cvsgd_local, cvsgd_step, init_constant_state, second_moment_decomposition
 from vsgd.oracle import coordinate_ascent_fixed_point, elbo_increase_check
 from vsgd.problems import make_problem
 from vsgd.rng import make_rng, normal
 from vsgd.second_order import SecondOrderState, init_so_state, so_local_update, so_vsgd_step
-from vsgd.verify import check_adam_identity, check_normalized_sgd_limit, check_oracle_agreement
+from vsgd.verify import (
+    check_adam_identity,
+    check_normalized_sgd_limit,
+    check_oracle_agreement,
+    check_positivity,
+)
 
 
 def _report(num, name, ok, detail):
@@ -89,34 +86,14 @@ def test_criterion_04_sgdm_proportionality():
 
 
 def test_criterion_05_shape_constancy_and_positivity():
-    hp = HyperParams(eta=0.01)
-    expected_a = hp.gamma + 0.5
-    checked = 0
-    ok = True
-    for spec in ("quad:dim=10,noise=1.0", "rosenbrock:dim=4,noise=0.5", "logreg:n=400,d=12,batch=16"):
-        problem = make_problem(spec)
-        state = init_state(problem.dim, hp)
-        theta = problem.theta0.copy()
-        rng = make_rng(505)
-        for _ in range(2000):
-            g = problem.sample_grad(theta, rng)
-            vsgd_step(state, theta, g, hp)
-            ok = ok and state.a == expected_a  # exact float equality
-            smallest = min(
-                float(state.b_g.min()),
-                float(state.b_ghat.min()),
-                float(state_sigma2(state).min()),
-            )
-            ok = ok and smallest > 0.0
-            checked += 1
-            if not ok:
-                break
+    specs = ("quad:dim=10,noise=1.0", "rosenbrock:dim=4,noise=0.5", "logreg:n=400,d=12,batch=16")
+    result = check_positivity(n_steps=2000, seed=505, problems=specs)
     _report(
         5,
         "shape constancy and positivity",
-        ok,
-        f"a == gamma+0.5 exactly and min(b_g, b_ghat, sigma2) > 0 over "
-        f"{checked} steps on 3 benchmark problems",
+        result.passed,
+        f"a == gamma+0.5 exactly and min(b_g, b_ghat, sigma2) > 0 on 3 benchmark "
+        f"problems; {result.detail}",
     )
 
 

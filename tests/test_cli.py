@@ -1,3 +1,4 @@
+import csv
 import itertools
 import os
 import shlex
@@ -269,8 +270,9 @@ class TestSweepCommand:
         ranking = capsys.readouterr().out.split("sweep summary -> ", 1)[1].splitlines()[2:]
         runs = 3 * 2 * 2
         assert len(list(sweep_dir.iterdir())) == runs + 1
-        summary = (sweep_dir / "sweep_summary.csv").read_text().splitlines()
-        assert len(summary) == runs + 1
+        assert len((sweep_dir / "sweep_summary.csv").read_text().splitlines()) == runs + 1
+        with open(sweep_dir / "sweep_summary.csv", newline="") as fh:
+            summary = list(csv.reader(fh))
         for optimizer, lr, seed in itertools.product(("vsgd", "adam", "sgd"), ("0.01", "0.05"), "12"):
             single_dir = tmp_path / f"{optimizer}-{lr}-{seed}"
             argv = ["run", "--optimizer", optimizer, "--lr", lr, "--seed", seed, *common]
@@ -280,9 +282,8 @@ class TestSweepCommand:
 
         # one ranking line per optimizer: its best lr, by mean final loss over seeds
         finals = {}
-        for row in summary[1:]:
-            head, lr, _, _, final = row.rsplit(",", 7)[:5]  # the problem holds commas
-            finals.setdefault((head.split(",")[0], float(lr)), []).append(float(final))
+        for optimizer, _, lr, _, _, final, *_ in summary[1:]:
+            finals.setdefault((optimizer, float(lr)), []).append(float(final))
         means = {key: sum(v) / len(v) for key, v in finals.items()}
         names = [line.split()[0] for line in ranking]
         losses = [float(line.split()[3]) for line in ranking]
@@ -292,6 +293,19 @@ class TestSweepCommand:
             optimizer, lr = line.split()[:2]
             best = min(m for (o, _), m in means.items() if o == optimizer)
             assert means[optimizer, float(lr)] == best
+
+    def test_summary_quotes_problem_spec_with_commas(self, tmp_path):
+        spec = "quad:dim=3,noise=0.5"
+        argv = ["sweep", "--optimizer", "vsgd", "--problem", spec, "--lr", "0.005,0.01",
+                "--steps", "5", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        path = tmp_path / "sweep_summary.csv"
+        assert len(path.read_text().splitlines()) == 3  # one line per run
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [9, 9, 9]
+        assert [row[1] for row in rows[1:]] == [spec, spec]
+        assert [float(row[2]) for row in rows[1:]] == [0.005, 0.01]
 
     def test_ranking_puts_non_finite_means_last(self, tmp_path, capsys, monkeypatch):
         def run_with_nan_adam(rc):

@@ -403,6 +403,34 @@ class TestMinibatchStep:
         vsgd_step(s_single, th_single, np.array([1.0]), HP)
         assert s_batch.mu_g[0] == s_single.mu_g[0] == 0.5
 
+    def test_matches_per_sample_component_composition(self):
+        # reference: local_update per sample, squared residuals and local
+        # means averaged over the block, then interpolate and step
+        rng = make_rng(17)
+        hp = HyperParams(eta=0.01, weight_decay=0.1)
+        st_, theta = fresh(4), np.ones(4)
+        ref, ref_theta = fresh(4), np.ones(4)
+        for _ in range(20):
+            samples = normal(rng, 12).reshape(3, 4) + theta
+            rho1, rho2 = svi_rates(ref.t + 1, hp)
+            locals_ = [local_update(ref, g) for g in samples]
+            sigma2 = locals_[0][1]
+            mu_new = np.mean([mu for mu, _ in locals_], axis=0)
+            dev_sq = np.mean([(mu - ref.mu_g) ** 2 for mu, _ in locals_], axis=0)
+            obs_sq = np.mean([(mu - g) ** 2 for (mu, _), g in zip(locals_, samples)], axis=0)
+            b_g_p = hp.gamma + 0.5 * (sigma2 + dev_sq)
+            b_ghat_p = hp.k_g * hp.gamma + 0.5 * (sigma2 + obs_sq)
+            ref_theta = apply_step(ref_theta, mu_new, sigma2, hp)
+            ref = global_interpolate(
+                ref, b_g_p, b_ghat_p, rho1, rho2, a_prime=hp.gamma + 0.5, mu_new=mu_new
+            )
+            minibatch_step(st_, theta, samples, hp)
+            np.testing.assert_allclose(st_.mu_g, ref.mu_g, rtol=1e-12)
+            np.testing.assert_allclose(st_.b_g, ref.b_g, rtol=1e-10)
+            np.testing.assert_allclose(st_.b_ghat, ref.b_ghat, rtol=1e-10)
+            np.testing.assert_allclose(theta, ref_theta, rtol=1e-12)
+            assert st_.a == ref.a and st_.t == ref.t
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             minibatch_step(fresh(2), np.ones(2), [], HP)

@@ -119,6 +119,17 @@ class TestOnePass:
 
 
 class TestFixedPoint:
+    def test_first_sweep_is_one_pass(self):
+        args = (-0.7, 1.3, 0.9, 0.4, 2.0, 0.5, 30.0)
+        first = one_pass(*args)
+        res = coordinate_ascent_fixed_point(*args, max_iter=3, return_trace=True)
+        assert first.iterations == 1 and not first.converged
+        assert first.residual == math.inf
+        assert (res.trace[0].mu, res.trace[0].b_g, res.trace[0].b_ghat) == (
+            first.mu, first.b_g_prime, first.b_ghat_prime
+        )
+        assert math.isfinite(res.residual)
+
     def test_contracts_on_informative_priors(self):
         # vague priors (gamma << 0.1) open a near-flat variance-collapse
         # valley where plain coordinate ascent crawls; on informative priors
@@ -172,6 +183,8 @@ class TestFixedPoint:
             coordinate_ascent_fixed_point(0.0, 1.0, 0.5, -1.0, 1.0, 0.5, 30.0)
         with pytest.raises(ValueError):
             coordinate_ascent_fixed_point(0.0, 1.0, 0.5, 1.0, 1.0, 0.5, 30.0, tol=0.0)
+        with pytest.raises(ValueError):
+            coordinate_ascent_fixed_point(0.0, 1.0, 0.5, 1.0, 1.0, 0.5, 30.0, max_iter=0)
 
 
 class TestElbo:

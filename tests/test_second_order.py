@@ -131,11 +131,31 @@ class TestStep:
         g = np.array([1.0])
         mu_h, s2h, mu_g, s2g = so_local_update(s, g, hp)
         expected_bh = hp.k_h * hp.gamma + 0.5 * (s2h + (mu_h - 0.0) ** 2)
+        expected_bg = hp.gamma + 0.5 * ((mu_g - 0.0 - mu_h) ** 2 + s2g + s2h)
         expected_bhg = hp.k_g * hp.gamma + 0.5 * (s2g + (mu_g - g) ** 2)
         so_vsgd_step(s, np.zeros(1), g, hp)
         np.testing.assert_allclose(s.b_h, expected_bh, rtol=1e-15)
+        np.testing.assert_allclose(s.b_g, expected_bg, rtol=1e-15)
         np.testing.assert_allclose(s.b_ghat, expected_bhg, rtol=1e-15)
         assert s.a == hp.gamma + 0.5
+
+    def test_b_g_stays_positive_where_the_expanded_form_went_negative(self):
+        # from this state a 7-term expansion of b_g' drove b_g to -0.195 in
+        # two steps and theta to NaN; the expected squared residual cannot
+        s = SecondOrderState(
+            t=5,
+            mu_g=np.array([1.0]),
+            mu_h=np.array([2.0]),
+            b_h=np.array([10.0]),
+            b_g=np.array([1e-3]),
+            b_ghat=np.array([10.0]),
+            a=HP.gamma + 0.5,
+        )
+        theta = np.zeros(1)
+        for _ in range(2):
+            so_vsgd_step(s, theta, np.array([1.0]), HP)
+            assert s.b_g[0] > 0
+        assert np.isfinite(theta).all()
 
     def test_zero_eps_surfaces_division_error(self):
         hp = HyperParams(eta=0.1, mu_guard_eps=0.0)
