@@ -6,12 +6,14 @@
     vsgd verify [--suite oracle]
 
 ``sweep`` runs the cross product of its comma lists (optimizer, lr,
-weight-decay, seed), writes one trace CSV per run plus sweep_summary.csv,
-and prints each optimizer's best (lr, weight-decay) by mean final loss over
-seeds.  A config file (--config FILE, flat key=value lines mirroring the
-long flag names) supplies defaults; explicit flags override it.  --out falls back to
-the VSGD_OUT_DIR environment variable.  Exit codes: 0 success, 1
-verification or run failure, 2 I/O or configuration error.
+weight-decay, seed), where optimizers without weight decay take only the
+weight-decay list's 0 entries; it writes one trace CSV per run plus
+sweep_summary.csv, and prints each optimizer's best (lr, weight-decay) by
+mean final loss over seeds.  A config file (--config FILE, flat key=value
+lines mirroring the long flag names) supplies defaults; explicit flags
+override it.  --out falls back to the VSGD_OUT_DIR environment variable.
+Exit codes: 0 success, 1 verification or run failure, 2 I/O or
+configuration error.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 
 from .config import HyperParams
 from .errors import ConfigError
-from .harness import OPTIMIZER_NAMES, RunConfig, run, summarize
+from .harness import OPTIMIZER_NAMES, WEIGHT_DECAY_OPTIMIZERS, RunConfig, run, summarize
 from .traceio import write_csv
 from .verify import SUITES, run_suites
 
@@ -201,6 +203,14 @@ def parse_args(argv: list[str]) -> CliConfig:
     lrs = _values(ns.lr, default=0.01)
     decays = _values(ns.weight_decay, default=0.0)
     seeds = _values(ns.seed, default=0)
+    # optimizers without weight decay take only the grid's 0 entries
+    undecayed = [name for name in optimizers if name not in WEIGHT_DECAY_OPTIMIZERS]
+    if undecayed and 0 not in decays:
+        raise ConfigError(
+            f"weight decay {','.join(f'{d:g}' for d in decays)} has no 0 entry for "
+            f"{', '.join(undecayed)}; only {', '.join(sorted(WEIGHT_DECAY_OPTIMIZERS))} "
+            "takes weight decay"
+        )
     configs = [
         RunConfig(
             optimizer=optimizer,
@@ -212,6 +222,7 @@ def parse_args(argv: list[str]) -> CliConfig:
             scheduler=ns.scheduler,
         )
         for optimizer, lr, decay, seed in itertools.product(optimizers, lrs, decays, seeds)
+        if decay == 0 or optimizer in WEIGHT_DECAY_OPTIMIZERS
     ]
     return CliConfig(command=ns.command, out_dir=out_dir, run_configs=configs)
 

@@ -219,24 +219,64 @@ def minibatch_step(
     return _fused_step(state, theta, samples, hp)
 
 
+# Elements per kernel block.  A block's ~11 arrays (state, theta, gradient,
+# scratch) fit in L2, so the kernel's ~25 passes read cache instead of
+# streaming every pass from memory at large dim.
+_BLOCK = 16384
+
+
 def _fused_step(state: VsgdState, theta: np.ndarray, g_hat: np.ndarray, hp: HyperParams):
     """In-place step kernel for a checked gradient (dim,) or block (M, dim).
 
-    A block averages its per-sample squared residuals and local means into
-    the buffers a single gradient fills; the rest of the step is shared.
+    The same ufunc sequence runs over consecutive element blocks of at most
+    ``_BLOCK`` elements (``_BLOCK + 1`` for the last), with block-sized
+    scratch buffers on the state; a dim that fits in one block is one call
+    on the whole arrays.  Every pass is elementwise or a per-element mean
+    over samples, so blocking does not change a single bit.
     """
     t = state.t + 1
     rho1, rho2 = svi_rates(t, hp)
-    if state._work is None or state._work[0].shape != state.mu_g.shape:
-        state._work = [np.empty_like(state.mu_g) for _ in range(6)]
-    s, w_obs, w_prev, sig, obs, dev = state._work
-    mu, b_g, b_ghat = state.mu_g, state.b_g, state.b_ghat
+    dim = state.dim
+    size = min(dim, _BLOCK + 1)
+    if state._work is None or state._work[0].shape != (size,):
+        state._work = [np.empty(size) for _ in range(6)]
+    step = (state.a, rho1, rho2, hp)
+    # a one-element tail joins the block before it: np.mean over the samples
+    # of an (M, 1) block sums pairwise, so for M >= 9 it would round
+    # differently from the same element inside a wider block
+    starts = range(0, max(dim - 1, 1), _BLOCK)
+    if len(starts) == 1:
+        _block_step(state._work, state.mu_g, state.b_g, state.b_ghat, theta, g_hat, *step)
+    else:
+        for lo, hi in zip(starts, [*starts[1:], dim]):
+            _block_step(
+                [w[: hi - lo] for w in state._work],
+                state.mu_g[lo:hi],
+                state.b_g[lo:hi],
+                state.b_ghat[lo:hi],
+                theta[lo:hi],
+                g_hat[..., lo:hi],
+                *step,
+            )
+    state.t = t
+    state.a = hp.gamma + 0.5
+    return state, theta
+
+
+def _block_step(work, mu, b_g, b_ghat, theta, g_hat, a, rho1, rho2, hp):
+    """The step on one element block, in place; ``a`` is the pre-step shape.
+
+    A gradient block (M, n) averages its per-sample squared residuals and
+    local means into the buffers a single gradient (n,) fills; the rest of
+    the step is shared.
+    """
+    s, w_obs, w_prev, sig, obs, dev = work
 
     np.add(b_g, b_ghat, out=s)
     np.divide(b_g, s, out=w_obs)
     np.divide(b_ghat, s, out=w_prev)
     np.multiply(w_obs, b_ghat, out=sig)
-    sig /= state.a  # sigma2; uses the pre-step shape
+    sig /= a  # sigma2
     # residuals in product form (no cancellation): mu_new - mu = w_obs*diff
     # and mu_new - g_hat = -w_prev*diff, with diff = g_hat - mu
     if g_hat.ndim == 1:
@@ -282,10 +322,6 @@ def _fused_step(state: VsgdState, theta: np.ndarray, g_hat: np.ndarray, hp: Hype
     if hp.weight_decay > 0.0:
         theta *= 1.0 - hp.eta * hp.weight_decay
     theta -= s
-
-    state.t = t
-    state.a = hp.gamma + 0.5
-    return state, theta
 
 
 def state_sigma2(state: VsgdState) -> np.ndarray:

@@ -3,8 +3,16 @@
 A RunConfig pins (optimizer, problem, steps, seed, hyperparameters,
 scheduler, record stride); ``run`` executes it deterministically — traces
 from the same config and seed are bitwise identical — and ``summarize``
-reduces a RunResult to scalar metrics.  Runs stop early with a diverged
-flag when the loss leaves the finite range.
+reduces a RunResult to scalar metrics.
+
+Divergence: ``‖theta‖`` is checked on every step, and the full-data loss
+only at record points (every ``record_stride`` steps and the last step) or
+at a step whose ``‖theta‖`` is non-finite or above ``DIVERGENCE_LIMIT``.  A
+run stops early with a diverged flag, recording that step, when either
+check fails: ``‖theta‖`` past the limit, or a loss that is non-finite or
+past the limit in magnitude.  The loss check therefore only sees record
+points, so at ``record_stride > 1`` a run whose loss blows up before its
+``‖theta‖`` does is flagged at a later step than at stride 1.
 """
 from __future__ import annotations
 
@@ -26,6 +34,7 @@ __all__ = [
     "RunResult",
     "Metrics",
     "OPTIMIZER_NAMES",
+    "WEIGHT_DECAY_OPTIMIZERS",
     "make_stepper",
     "parse_scheduler",
     "run",
@@ -54,7 +63,7 @@ class RunConfig:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if self.record_stride < 1:
             raise ConfigError(f"record_stride must be >= 1, got {self.record_stride}")
-        if self.hp.weight_decay > 0 and self.optimizer != "vsgd":
+        if self.hp.weight_decay > 0 and self.optimizer not in WEIGHT_DECAY_OPTIMIZERS:
             raise ConfigError(
                 "weight_decay is only supported by the vsgd optimizer"
             )
@@ -180,6 +189,7 @@ _OPTIMIZERS = {
     ),
 }
 OPTIMIZER_NAMES = frozenset(_OPTIMIZERS)
+WEIGHT_DECAY_OPTIMIZERS = frozenset({"vsgd"})
 _NO_SUMMARIES = (None, None, None)
 
 
@@ -227,15 +237,18 @@ def run(config: RunConfig, problem: Problem | None = None) -> RunResult:
         g_hat = problem.sample_grad(theta, rng)
         theta = stepper.step(theta, g_hat, config.hp.eta * scale(t))
         steps_run = t
-        loss = float(problem.loss(theta))
-        bad = not np.isfinite(loss) or abs(loss) > DIVERGENCE_LIMIT
-        if bad or t % config.record_stride == 0 or t == config.steps:
+        record = t % config.record_stride == 0 or t == config.steps
+        theta_norm = float(np.linalg.norm(theta))
+        bad = not theta_norm <= DIVERGENCE_LIMIT  # NaN fails the bound too
+        if record or bad:
+            loss = float(problem.loss(theta))
+            bad = bad or not np.isfinite(loss) or abs(loss) > DIVERGENCE_LIMIT
             traces.append(
                 StepTrace(
                     t,
                     loss,
                     float(np.linalg.norm(g_hat)),
-                    float(np.linalg.norm(theta)),
+                    theta_norm,
                     *stepper.summaries(),
                 )
             )

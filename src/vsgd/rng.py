@@ -16,11 +16,21 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def normal(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Standard normal draws via Box-Muller (no rejection sampling)."""
+    """Standard normal draws via Box-Muller (no rejection sampling).
+
+    Computed in place in one buffer of uniforms: its first half becomes the
+    radii times the cosines, its second half the radii times the sines.
+    """
     pairs = (size + 1) // 2
-    u1 = 1.0 - rng.random(pairs)  # (0, 1]: keeps log(u1) finite
-    u2 = rng.random(pairs)
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = 2.0 * np.pi * u2
-    z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
+    z = rng.random(2 * pairs)
+    radius, angle = z[:pairs], z[pairs:]
+    np.subtract(1.0, radius, out=radius)  # (0, 1]: keeps the log finite
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle *= 2.0 * np.pi
+    cos = np.cos(angle)
+    np.sin(angle, out=angle)
+    angle *= radius
+    radius *= cos
     return z[:size]

@@ -110,6 +110,23 @@ class TestParseArgs:
             ("vsgd", 1), ("vsgd", 2), ("adam", 1), ("adam", 2)
         ]
 
+    def test_sweep_gives_weight_decay_grid_to_vsgd_only(self, tmp_path):
+        cfg = parse_args(
+            ["sweep", "--optimizer", "vsgd,adam,sgdm", "--weight-decay", "0,0.01",
+             "--out", str(tmp_path)]
+        )
+        assert [(rc.optimizer, rc.hp.weight_decay) for rc in cfg.run_configs] == [
+            ("vsgd", 0.0), ("vsgd", 0.01), ("adam", 0.0), ("sgdm", 0.0)
+        ]
+
+    def test_weight_decay_grid_without_zero_names_undecayed_optimizers(self, tmp_path, capsys):
+        argv = ["sweep", "--optimizer", "vsgd,adam,sgdm", "--weight-decay", "0.01,0.1",
+                "--steps", "5", "--out", str(tmp_path / "out")]
+        assert exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert "adam, sgdm" in err and "no 0 entry" in err
+        assert not (tmp_path / "out").exists()
+
     def test_sweep_rejects_unknown_optimizer_in_list(self, tmp_path):
         argv = ["sweep", "--optimizer", "vsgd,adamw", "--steps", "5", "--out", str(tmp_path)]
         assert exit_code(argv) == 2

@@ -16,6 +16,7 @@ from vsgd import (
     svi_rates,
     vsgd_step,
 )
+from vsgd import core
 from vsgd.core import VsgdState
 from vsgd.rng import make_rng, normal
 
@@ -438,3 +439,36 @@ class TestMinibatchStep:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             minibatch_step(fresh(2), np.ones(2), np.ones((2, 3)), HP)
+
+
+class TestBlockedKernel:
+    @staticmethod
+    def stream(dim, samples, weight_decay):
+        hp = HyperParams(eta=0.01, weight_decay=weight_decay)
+        rng = make_rng(dim)
+        state, theta = init_state(dim, hp), normal(rng, dim)
+        for _ in range(5):
+            # magnitudes over twelve decades, so any change of rounding shows
+            scale = 10.0 ** rng.integers(-6, 7, size=dim)
+            g_hat = normal(rng, samples * dim).reshape(samples, dim) * scale
+            if samples == 1:
+                vsgd_step(state, theta, g_hat[0], hp)
+            else:
+                minibatch_step(state, theta, g_hat, hp)
+        return state, theta
+
+    # 50 = 7*7 + 1 and 53 = 7*7 + 4 leave ragged last blocks; at M >= 9 the
+    # mean over samples of a one-element block would round differently
+    @pytest.mark.parametrize("dim", [50, 53])
+    @pytest.mark.parametrize("samples", [1, 3, 9])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_small_blocks_bitwise_equal_default_block(
+        self, monkeypatch, dim, samples, weight_decay
+    ):
+        whole, whole_theta = self.stream(dim, samples, weight_decay)
+        monkeypatch.setattr(core, "_BLOCK", 7)
+        blocked, blocked_theta = self.stream(dim, samples, weight_decay)
+        assert blocked_theta.tobytes() == whole_theta.tobytes()
+        for name in ("mu_g", "b_g", "b_ghat"):
+            assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes(), name
+        assert (blocked.a, blocked.t) == (whole.a, whole.t)

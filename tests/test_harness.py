@@ -1,10 +1,17 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 from vsgd import ConfigError, HyperParams, NumericError, RunConfig, run, summarize
-from vsgd.harness import OPTIMIZER_NAMES, RunResult, make_stepper, parse_scheduler
+from vsgd.harness import (
+    DIVERGENCE_LIMIT,
+    OPTIMIZER_NAMES,
+    RunResult,
+    make_stepper,
+    parse_scheduler,
+)
 from vsgd.problems import Problem
 
 
@@ -127,8 +134,42 @@ class TestRun:
             )
         )
         assert r.diverged
-        assert r.steps_run < 600
+        assert r.steps_run == 2  # the loss passes the limit first
         assert r.traces[-1].t == r.steps_run
+
+    @pytest.mark.parametrize("stride, stop", [(1, 2), (50, 3)])
+    def test_norm_bound_flags_divergence_between_record_points(self, stride, stop):
+        # the loss passes the limit at step 2, but only a record point checks
+        # it; at stride 50 the per-step bound on ||theta|| stops the run at
+        # step 3, before the sampled gradient overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning fails the test
+            r = run(
+                cfg(
+                    optimizer="sgd",
+                    problem="rosenbrock:dim=2",
+                    steps=1000,
+                    hp=HyperParams(eta=0.05),
+                    record_stride=stride,
+                )
+            )
+        assert r.diverged
+        assert r.steps_run == stop
+        assert r.traces[-1].t == r.steps_run
+        if stride > 1:
+            assert r.traces[-1].theta_norm > DIVERGENCE_LIMIT
+
+    @pytest.mark.parametrize("name", sorted(OPTIMIZER_NAMES))
+    def test_strided_traces_equal_stride_one_traces(self, name):
+        every = run(cfg(optimizer=name, problem="logreg:n=200,d=5", scheduler="halve:20"))
+        strided = run(
+            cfg(optimizer=name, problem="logreg:n=200,d=5", scheduler="halve:20", record_stride=7)
+        )
+        assert not every.diverged and not strided.diverged
+        by_t = {tr.t: dataclasses.astuple(tr) for tr in every.traces}
+        assert [tr.t for tr in strided.traces] == [7, 14, 21, 28, 35, 42, 49, 50]
+        for tr in strided.traces:
+            assert dataclasses.astuple(tr) == by_t[tr.t]
 
     def test_scheduler_shrinks_updates(self):
         base = cfg(optimizer="sgd", problem="quad:dim=1,noise=0", steps=40)
