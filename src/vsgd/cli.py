@@ -5,14 +5,16 @@
                 --seed 1,2,3 --steps 500 --out d/
     vsgd verify [--suite oracle]
 
-``sweep`` runs the cross product of its comma lists (optimizer, lr,
-weight-decay, seed), where optimizers without weight decay take only the
-weight-decay list's 0 entries; it writes one trace CSV per run plus
-sweep_summary.csv, and prints each optimizer's best (lr, weight-decay) by
-mean final loss over seeds.  A config file (--config FILE, flat key=value
-lines mirroring the long flag names) supplies defaults; explicit flags
-override it.  --out falls back to the VSGD_OUT_DIR environment variable.
-Exit codes: 0 success, 1 verification or run failure, 2 I/O or
+Each ``HyperParams`` field has a flag: ``--lr`` (eta), ``--kg``, ``--kh``,
+and ``--<field>`` for the rest.  ``sweep`` runs the cross product of its
+comma lists (optimizer, every hyperparameter, seed), where optimizers without
+weight decay take only the weight-decay list's 0 entries; it writes one trace
+CSV per run plus sweep_summary.csv, and prints each optimizer's best
+hyperparameters by mean final loss over seeds.  File names and columns name
+lr, weight decay and any other hyperparameter that varies.  A config file
+(--config FILE, key=value lines mirroring the long flag names) supplies
+defaults that flags override.  --out falls back to VSGD_OUT_DIR.  Exit codes:
+0 success, 1 verification failure, divergence or NumericError, 2 I/O or
 configuration error.
 """
 from __future__ import annotations
@@ -24,10 +26,10 @@ import math
 import os
 import statistics
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .config import HyperParams
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .harness import OPTIMIZER_NAMES, WEIGHT_DECAY_OPTIMIZERS, RunConfig, run, summarize
 from .traceio import write_csv
 from .verify import SUITES, run_suites
@@ -37,6 +39,10 @@ __all__ = ["CliConfig", "parse_args", "main", "entry"]
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_CONFIG = 2
+
+# HyperParams field -> its flag, config key and output column (underscored);
+# three keep the spellings the CLI had before its flags were derived
+_HP_NAMES = {f.name: f.name for f in fields(HyperParams)} | {"eta": "lr", "k_g": "kg", "k_h": "kh"}
 
 
 @dataclass
@@ -89,16 +95,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         else:
             p.add_argument("--optimizer", choices=sorted(OPTIMIZER_NAMES), default="vsgd")
         p.add_argument("--problem", default="quad")
-        p.add_argument("--lr", type=floats, default=None, help="learning rate")
-        p.add_argument("--gamma", type=float, default=None, help="prior strength")
-        p.add_argument("--kg", type=float, default=None, help="variance ratio K_g")
-        p.add_argument("--kh", type=float, default=None, help="variance ratio K_h")
-        p.add_argument("--kappa1", type=float, default=None)
-        p.add_argument("--kappa2", type=float, default=None)
-        p.add_argument("--kappa", type=float, default=None)
-        p.add_argument("--weight-decay", type=floats, default=None)
+        for name, label in _HP_NAMES.items():
+            default = getattr(HyperParams, name)
+            p.add_argument("--" + label.replace("_", "-"), dest=name, type=floats,
+                           default=default, help=f"HyperParams.{name} (default {default:g})")
         p.add_argument("--steps", type=int, default=1000)
-        p.add_argument("--seed", type=ints, default=None)
+        p.add_argument("--seed", type=ints, default=0)
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--record-stride", type=int, default=1)
         p.add_argument("--scheduler", default="none", help="'none' or 'halve:K'")
@@ -107,7 +109,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     add_run_flags(p_run, lists=False)
 
     p_sweep = sub.add_parser(
-        "sweep", help="cross-product over comma-separated optimizer/lr/weight-decay/seed"
+        "sweep", help="cross-product over comma-separated optimizer/hyperparameter/seed lists"
     )
     add_run_flags(p_sweep, lists=True)
 
@@ -130,9 +132,10 @@ def _apply_config_file(parser: argparse.ArgumentParser, path: str) -> None:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     actions = {
-        action.dest: action
+        option: action
         for action in parser._actions
-        if action.option_strings and action.dest not in ("help", "config")
+        if action.dest not in ("help", "config")
+        for option in action.option_strings
     }
     defaults: dict[str, object] = {}
     for lineno, raw in enumerate(lines, 1):
@@ -140,7 +143,8 @@ def _apply_config_file(parser: argparse.ArgumentParser, path: str) -> None:
         if not line:
             continue
         key, sep, value = line.partition("=")
-        action = actions.get(key.strip().replace("-", "_"))
+        key = key.strip()
+        action = actions.get("--" + key.replace("_", "-"))
         if not sep or action is None:
             raise ConfigError(f"{path}:{lineno}: unknown config line {raw.strip()!r}")
         value = value.strip()
@@ -150,33 +154,15 @@ def _apply_config_file(parser: argparse.ArgumentParser, path: str) -> None:
                 raise ValueError(f"expected one of {', '.join(action.choices)}")
         except ValueError as exc:
             raise ConfigError(
-                f"{path}:{lineno}: invalid {action.dest} value {value!r}: {exc}"
+                f"{path}:{lineno}: invalid {key} value {value!r}: {exc}"
             ) from None
         defaults[action.dest] = typed
     parser.set_defaults(**defaults)
 
 
-def _hp_from_ns(ns, lr: float, weight_decay: float) -> HyperParams:
-    kwargs = dict(eta=lr, weight_decay=weight_decay)
-    for flag, fieldname in (
-        ("gamma", "gamma"),
-        ("kg", "k_g"),
-        ("kh", "k_h"),
-        ("kappa1", "kappa1"),
-        ("kappa2", "kappa2"),
-        ("kappa", "kappa"),
-    ):
-        value = getattr(ns, flag)
-        if value is not None:
-            kwargs[fieldname] = value
-    return HyperParams(**kwargs)
-
-
-def _values(raw, default) -> list:
-    """A flag's value as a list: one value, a sweep list, or the default."""
-    if raw is None:
-        return [default]
-    return raw if isinstance(raw, list) else [raw]
+def _listed(value) -> list:
+    """A flag's value as a list: a sweep list as is, a single value wrapped."""
+    return value if isinstance(value, list) else [value]
 
 
 def parse_args(argv: list[str]) -> CliConfig:
@@ -199,10 +185,8 @@ def parse_args(argv: list[str]) -> CliConfig:
     if not out_dir:
         raise ConfigError("an output directory is required (--out or VSGD_OUT_DIR)")
 
-    optimizers = _values(ns.optimizer, default="vsgd")
-    lrs = _values(ns.lr, default=0.01)
-    decays = _values(ns.weight_decay, default=0.0)
-    seeds = _values(ns.seed, default=0)
+    optimizers = _listed(ns.optimizer)
+    decays = _listed(ns.weight_decay)
     # optimizers without weight decay take only the grid's 0 entries
     undecayed = [name for name in optimizers if name not in WEIGHT_DECAY_OPTIMIZERS]
     if undecayed and 0 not in decays:
@@ -211,42 +195,53 @@ def parse_args(argv: list[str]) -> CliConfig:
             f"{', '.join(undecayed)}; only {', '.join(sorted(WEIGHT_DECAY_OPTIMIZERS))} "
             "takes weight decay"
         )
-    configs = [
-        RunConfig(
-            optimizer=optimizer,
-            problem=ns.problem,
-            steps=ns.steps,
-            seed=seed,
-            hp=_hp_from_ns(ns, lr, decay),
-            record_stride=ns.record_stride,
-            scheduler=ns.scheduler,
-        )
-        for optimizer, lr, decay, seed in itertools.product(optimizers, lrs, decays, seeds)
-        if decay == 0 or optimizer in WEIGHT_DECAY_OPTIMIZERS
-    ]
+    grid = itertools.product(
+        optimizers, *(_listed(getattr(ns, name)) for name in _HP_NAMES), _listed(ns.seed)
+    )
+    configs = []
+    for optimizer, *values, seed in grid:
+        hp = HyperParams(**dict(zip(_HP_NAMES, values)))
+        if hp.weight_decay == 0 or optimizer in WEIGHT_DECAY_OPTIMIZERS:
+            configs.append(RunConfig(
+                optimizer=optimizer, problem=ns.problem, steps=ns.steps, seed=seed,
+                hp=hp, record_stride=ns.record_stride, scheduler=ns.scheduler,
+            ))
     return CliConfig(command=ns.command, out_dir=out_dir, run_configs=configs)
 
 
-def _slug(config: RunConfig) -> str:
+def _named_fields(configs: list[RunConfig]) -> list[str]:
+    """HyperParams fields that outputs name: eta, weight_decay and any that vary."""
+    return [
+        name
+        for name in _HP_NAMES
+        if name in ("eta", "weight_decay")
+        or len({getattr(rc.hp, name) for rc in configs}) > 1
+    ]
+
+
+def _slug(config: RunConfig, named: list[str]) -> str:
     problem = "".join(c if c.isalnum() else "-" for c in config.problem)
-    return (
-        f"{config.optimizer}_{problem}_lr{config.hp.eta:g}"
-        f"_wd{config.hp.weight_decay:g}_seed{config.seed}"
+    hps = "".join(
+        f"_{'wd' if name == 'weight_decay' else _HP_NAMES[name]}{getattr(config.hp, name):g}"
+        for name in named
     )
+    return f"{config.optimizer}_{problem}{hps}_seed{config.seed}"
 
 
 def _cmd_run(cfg: CliConfig) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
+    named = _named_fields(cfg.run_configs)
     failed = False
     summary_rows = []
     for rc in cfg.run_configs:
         result = run(rc)
-        path = os.path.join(cfg.out_dir, _slug(rc) + ".csv")
+        slug = _slug(rc, named)
+        path = os.path.join(cfg.out_dir, slug + ".csv")
         write_csv(result.traces, path)
         metrics = summarize(result)
         status = "DIVERGED" if result.diverged else "ok"
         print(
-            f"{_slug(rc)}: {status} final_loss={metrics.final_loss:.6g} "
+            f"{slug}: {status} final_loss={metrics.final_loss:.6g} "
             f"best_loss={metrics.best_loss:.6g} "
             f"sec_per_step={metrics.wallclock_per_step:.3e} -> {path}"
         )
@@ -258,39 +253,41 @@ def _cmd_run(cfg: CliConfig) -> int:
             # the writer quotes a problem spec that holds commas
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(
-                ["optimizer", "problem", "lr", "weight_decay", "seed",
+                ["optimizer", "problem", *(_HP_NAMES[name] for name in named), "seed",
                  "final_loss", "best_loss", "sec_per_step", "diverged"]
             )
             for rc, metrics, diverged in summary_rows:
                 writer.writerow(
-                    [rc.optimizer, rc.problem, repr(rc.hp.eta),
-                     repr(rc.hp.weight_decay), rc.seed, repr(metrics.final_loss),
-                     repr(metrics.best_loss), repr(metrics.wallclock_per_step),
-                     int(diverged)]
+                    [rc.optimizer, rc.problem,
+                     *(repr(getattr(rc.hp, name)) for name in named), rc.seed,
+                     repr(metrics.final_loss), repr(metrics.best_loss),
+                     repr(metrics.wallclock_per_step), int(diverged)]
                 )
         print(f"sweep summary -> {spath}")
-        _print_ranking(summary_rows)
+        _print_ranking(summary_rows, named)
     return EXIT_FAILURE if failed else EXIT_OK
 
 
-def _print_ranking(summary_rows) -> None:
-    """Each optimizer's best (lr, weight decay) by mean final loss over seeds.
+def _print_ranking(summary_rows, named: list[str]) -> None:
+    """Each optimizer's best hyperparameters by mean final loss over seeds.
 
-    Optimizers are listed best first; a non-finite mean (a diverged seed)
-    ranks last.
+    Runs group by (optimizer, hp), printed as the ``named`` fields.  Optimizers
+    are listed best first; a non-finite mean (a diverged seed) ranks last.
     """
-    finals: dict[tuple[str, float, float], list[float]] = {}
+    finals: dict[tuple[str, HyperParams], list[float]] = {}
     for rc, metrics, _ in summary_rows:
-        key = (rc.optimizer, rc.hp.eta, rc.hp.weight_decay)
-        finals.setdefault(key, []).append(metrics.final_loss)
+        finals.setdefault((rc.optimizer, rc.hp), []).append(metrics.final_loss)
     means = [(statistics.fmean(losses), key) for key, losses in finals.items()]
     means.sort(key=lambda m: m[0] if math.isfinite(m[0]) else math.inf)
-    print(f"{'optimizer':<14} {'lr':>8} {'weight_decay':>12} {'mean_final_loss':>16} seeds")
+    widths = {name: max(8, len(_HP_NAMES[name])) for name in named}
+    header = "".join(f" {_HP_NAMES[name]:>{width}}" for name, width in widths.items())
+    print(f"{'optimizer':<14}{header} {'mean_final_loss':>16} seeds")
     ranked = set()
-    for mean, (name, lr, decay) in means:
-        if name not in ranked:
-            ranked.add(name)
-            print(f"{name:<14} {lr:>8g} {decay:>12g} {mean:>16.6g} {len(finals[name, lr, decay])}")
+    for mean, (optimizer, hp) in means:
+        if optimizer not in ranked:
+            ranked.add(optimizer)
+            cells = "".join(f" {getattr(hp, name):>{width}g}" for name, width in widths.items())
+            print(f"{optimizer:<14}{cells} {mean:>16.6g} {len(finals[optimizer, hp])}")
 
 
 def _cmd_verify(cfg: CliConfig) -> int:
@@ -313,6 +310,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except NumericError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

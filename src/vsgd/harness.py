@@ -104,7 +104,6 @@ class RunResult:
 class Metrics:
     final_loss: float
     best_loss: float
-    steps_to_threshold: int | None
     wallclock_per_step: float
 
 
@@ -266,22 +265,13 @@ def run(config: RunConfig, problem: Problem | None = None) -> RunResult:
     )
 
 
-def summarize(result: RunResult, threshold: float | None = None) -> Metrics:
+def summarize(result: RunResult) -> Metrics:
     """Scalar metrics of a run; pure aggregation over the recorded traces."""
     if not result.traces:
         raise ValueError("cannot summarize a run with no recorded traces")
     losses = [tr.loss for tr in result.traces]
-    steps_to_threshold: int | None = None
-    if threshold is not None:
-        if result.initial_loss < threshold:
-            steps_to_threshold = 0
-        else:
-            steps_to_threshold = next(
-                (tr.t for tr in result.traces if tr.loss < threshold), None
-            )
     return Metrics(
         final_loss=losses[-1],
         best_loss=min(losses),
-        steps_to_threshold=steps_to_threshold,
         wallclock_per_step=result.wallclock_seconds / max(result.steps_run, 1),
     )

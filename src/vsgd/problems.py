@@ -14,6 +14,7 @@ specified by a small string DSL so parameters fit through one CLI flag:
 """
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,48 +37,52 @@ class Problem:
 
 
 def make_problem(spec: str) -> Problem:
-    """Build a Problem from its DSL string (see module docstring)."""
-    name, params = _parse_spec(spec)
+    """Build a Problem from its DSL string (see module docstring).
+
+    Each parameter takes its type from the factory's default, so an int
+    parameter needs an integral, finite value.
+    """
+    name, _, rest = spec.partition(":")
+    name = name.strip()
     try:
         factory = _FACTORIES[name]
     except KeyError:
         raise ConfigError(
             f"unknown problem {name!r}; expected one of {sorted(_FACTORIES)}"
         ) from None
-    try:
-        return factory(**params)
-    except TypeError as exc:
-        raise ConfigError(f"bad parameters for problem {name!r}: {exc}") from None
-
-
-def _parse_spec(spec: str) -> tuple[str, dict]:
-    name, _, rest = spec.partition(":")
+    defaults = {p.name: p.default for p in inspect.signature(factory).parameters.values()}
     params: dict[str, float | int] = {}
-    if rest:
-        for item in rest.split(","):
-            key, sep, value = item.partition("=")
-            if not sep or not key:
-                raise ConfigError(f"malformed problem parameter {item!r} in {spec!r}")
-            try:
-                parsed = float(value)
-            except ValueError:
+    for item in rest.split(",") if rest else ():
+        key, sep, value = item.partition("=")
+        key = key.strip()
+        if not sep or not key:
+            raise ConfigError(f"malformed problem parameter {item!r} in {spec!r}")
+        if key not in defaults:
+            raise ConfigError(f"problem {name!r} has no parameter {key!r}; "
+                              f"expected one of {sorted(defaults)}")
+        try:
+            parsed = float(value)
+        except ValueError:
+            raise ConfigError(
+                f"problem parameter {key!r} must be numeric, got {value!r}"
+            ) from None
+        if isinstance(defaults[key], int):
+            if not parsed.is_integer():  # also false for nan and inf
                 raise ConfigError(
-                    f"problem parameter {key!r} must be numeric, got {value!r}"
-                ) from None
-            params[key.strip()] = (
-                int(parsed) if key.strip() in _INT_KEYS else parsed
-            )
-    return name.strip(), params
-
-
-_INT_KEYS = {"dim", "n", "d", "hidden", "batch", "seed"}
+                    f"problem parameter {key!r} must be an integer, got {value!r}"
+                )
+            parsed = int(parsed)
+        params[key] = parsed
+    return factory(**params)
 
 
 def _make_quad(dim: int = 10, noise: float = 0.0, cond: float = 1.0) -> Problem:
     if dim < 1:
         raise ConfigError(f"quad needs dim >= 1, got {dim}")
-    if cond < 1.0:
+    if not cond >= 1.0:  # NaN fails too
         raise ConfigError(f"quad condition number must be >= 1, got {cond}")
+    if not noise >= 0.0:
+        raise ConfigError(f"quad noise must be >= 0, got {noise}")
     diag = np.geomspace(1.0, cond, dim) if cond != 1.0 else np.ones(dim)
 
     def loss(theta: np.ndarray) -> float:
@@ -102,6 +107,8 @@ def _make_quad(dim: int = 10, noise: float = 0.0, cond: float = 1.0) -> Problem:
 def _make_rosenbrock(dim: int = 2, noise: float = 0.0) -> Problem:
     if dim < 2:
         raise ConfigError(f"rosenbrock needs dim >= 2, got {dim}")
+    if not noise >= 0.0:
+        raise ConfigError(f"rosenbrock noise must be >= 0, got {noise}")
 
     def loss(theta: np.ndarray) -> float:
         x, y = theta[:-1], theta[1:]
@@ -218,10 +225,7 @@ def _make_mlp(
 
 _FACTORIES = {
     "quad": _make_quad,
-    "noisy_quadratic": _make_quad,
     "rosenbrock": _make_rosenbrock,
     "logreg": _make_logreg,
-    "logreg_synth": _make_logreg,
     "mlp": _make_mlp,
-    "mlp_synth": _make_mlp,
 }

@@ -1,44 +1,57 @@
 """CSV persistence for step traces.
 
-Fixed schema for every optimizer: columns an optimizer has no state for are
-left empty, so files from different optimizers stay column-compatible.
-Floats are serialized as shortest round-trip decimals (repr of a 64-bit
-float), so re-parsing an emitted file reproduces the values bitwise.
+Fixed schema for every optimizer: one column per ``StepTrace`` field, in
+field order.  Columns an optimizer has no state for are left empty, so
+files from different optimizers stay column-compatible.  Floats are
+serialized as shortest round-trip decimals (repr of a 64-bit float), so
+re-parsing an emitted file reproduces the values bitwise.
 """
 from __future__ import annotations
+
+import operator
+import typing
+from dataclasses import fields
 
 from .harness import StepTrace
 
 __all__ = ["CSV_HEADER", "write_csv", "read_csv"]
 
-CSV_HEADER = "t,loss,grad_norm,theta_norm,mean_b_g,mean_b_ghat,mean_sigma2"
+_FIELDS = fields(StepTrace)
+_INT_FIELDS = {name for name, hint in typing.get_type_hints(StepTrace).items() if hint is int}
+CSV_HEADER = ",".join(f.name for f in _FIELDS)
 
 
-def _fmt(value: float | None) -> str:
-    return "" if value is None else repr(float(value))
+def _column(f, traces: list[StepTrace]):
+    """One field's cells over all traces, formatted by the field's type.
+
+    ``map`` over builtins formats a column with no Python call per cell.
+    """
+    values = map(operator.attrgetter(f.name), traces)
+    if f.name in _INT_FIELDS:
+        return map(str, values)
+    if f.default is None:  # an optional state summary: empty cell for None
+        return ("" if v is None else repr(float(v)) for v in values)
+    return map(repr, map(float, values))
+
+
+def _parse_optional(cell: str) -> float | None:
+    return float(cell) if cell else None
+
+
+_PARSERS = tuple(
+    int if f.name in _INT_FIELDS else _parse_optional if f.default is None else float
+    for f in _FIELDS
+)
 
 
 def write_csv(traces: list[StepTrace], path) -> None:
     """Write traces as UTF-8 CSV with LF line endings; traces must be nonempty."""
     if not traces:
         raise ValueError("refusing to write an empty trace list")
-    lines = [CSV_HEADER]
-    for tr in traces:
-        lines.append(
-            ",".join(
-                (
-                    str(tr.t),
-                    _fmt(tr.loss),
-                    _fmt(tr.grad_norm),
-                    _fmt(tr.theta_norm),
-                    _fmt(tr.mean_b_g),
-                    _fmt(tr.mean_b_ghat),
-                    _fmt(tr.mean_sigma2),
-                )
-            )
-        )
+    rows = map(",".join, zip(*[_column(f, traces) for f in _FIELDS]))
+    lines = [CSV_HEADER, *rows, ""]  # the empty last line ends the file with LF
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(lines))
 
 
 def read_csv(path) -> list[StepTrace]:
@@ -52,17 +65,7 @@ def read_csv(path) -> list[StepTrace]:
         if not line:
             continue
         cells = line.split(",")
-        if len(cells) != 7:
+        if len(cells) != len(_PARSERS):
             raise ValueError(f"{path}: malformed row {line!r}")
-        traces.append(
-            StepTrace(
-                t=int(cells[0]),
-                loss=float(cells[1]),
-                grad_norm=float(cells[2]),
-                theta_norm=float(cells[3]),
-                mean_b_g=float(cells[4]) if cells[4] else None,
-                mean_b_ghat=float(cells[5]) if cells[5] else None,
-                mean_sigma2=float(cells[6]) if cells[6] else None,
-            )
-        )
+        traces.append(StepTrace(*[parse(cell) for parse, cell in zip(_PARSERS, cells)]))
     return traces

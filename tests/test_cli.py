@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import itertools
 import os
 import shlex
@@ -7,10 +8,14 @@ from pathlib import Path
 import pytest
 
 import vsgd.cli
-from vsgd import harness
+from vsgd import HyperParams, harness
 from vsgd.cli import main, parse_args
 from vsgd.errors import ConfigError
 from vsgd.traceio import CSV_HEADER, read_csv
+
+
+# flags whose spelling is not the field name with dashes
+SPELLINGS = {"eta": "lr", "k_g": "kg", "k_h": "kh"}
 
 
 def exit_code(argv):
@@ -77,7 +82,7 @@ class TestParseArgs:
                 ["run", "--lr", "0.1,0.2", "--steps", "5", "--out", str(tmp_path)]
             )
 
-    @pytest.mark.parametrize("flag", ["--lr", "--weight-decay", "--seed"])
+    @pytest.mark.parametrize("flag", ["--lr", "--gamma", "--weight-decay", "--seed"])
     def test_sweep_rejects_non_numeric_list(self, tmp_path, flag):
         argv = ["sweep", flag, "0.1,abc", "--steps", "5", "--out", str(tmp_path)]
         assert exit_code(argv) == 2
@@ -86,6 +91,26 @@ class TestParseArgs:
     def test_fractional_seed_rejected(self, tmp_path, command):
         argv = [command, "--seed", "1.7", "--steps", "5", "--out", str(tmp_path)]
         assert exit_code(argv) == 2
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(HyperParams)])
+    def test_every_hyperparameter_has_a_flag_a_sweep_list_and_a_config_key(
+        self, tmp_path, name
+    ):
+        key = SPELLINGS.get(name, name)
+        default = getattr(HyperParams(), name)
+        value = 0.75 if name.startswith("kappa") else 0.5
+        out = ["--out", str(tmp_path)]
+
+        (rc,) = parse_args(["run", f"--{key.replace('_', '-')}", str(value), *out]).run_configs
+        assert getattr(rc.hp, name) == value
+
+        argv = ["sweep", f"--{key.replace('_', '-')}", f"{default!r},{value!r}", *out]
+        assert [getattr(rc.hp, name) for rc in parse_args(argv).run_configs] == [default, value]
+
+        cf = tmp_path / "run.cfg"
+        cf.write_text(f"{key}={value}\n", encoding="utf-8")
+        (rc,) = parse_args(["run", "--config", str(cf), *out]).run_configs
+        assert getattr(rc.hp, name) == value
 
     def test_sweep_builds_cross_product(self, tmp_path):
         cfg = parse_args(
@@ -244,6 +269,13 @@ class TestRunCommand:
         )
         assert code == 1
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # geomspace to inf
+    def test_numeric_error_exits_one_with_error_line(self, tmp_path, capsys):
+        argv = ["run", "--problem", "quad:dim=2,cond=inf", "--steps", "5"]
+        assert main([*argv, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_weight_decay_on_baseline_rejected(self, tmp_path):
         code = main(
             [
@@ -323,6 +355,35 @@ class TestSweepCommand:
         assert [len(row) for row in rows] == [9, 9, 9]
         assert [row[1] for row in rows[1:]] == [spec, spec]
         assert [float(row[2]) for row in rows[1:]] == [0.005, 0.01]
+
+    def test_prior_grid_names_the_swept_priors(self, tmp_path, capsys):
+        argv = ["sweep", "--optimizer", "vsgd", "--problem", "logreg:n=200,d=5",
+                "--gamma", "1e-8,1e-4", "--kg", "10,30", "--seed", "1,2", "--steps", "30"]
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        ranking = capsys.readouterr().out.split("sweep summary -> ", 1)[1].splitlines()[1:]
+        traces = sorted(p.name for p in tmp_path.iterdir() if p.name != "sweep_summary.csv")
+        for seed in (1, 2):
+            assert [t for t in traces if t.endswith(f"_seed{seed}.csv")] == [
+                f"vsgd_logreg-n-200-d-5_lr0.01_gamma{g}_kg{k}_wd0_seed{seed}.csv"
+                for g, k in [("0.0001", "10"), ("0.0001", "30"), ("1e-08", "10"), ("1e-08", "30")]
+            ]
+        with open(tmp_path / "sweep_summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0])[:6] == ["optimizer", "problem", "lr", "gamma", "kg", "weight_decay"]
+        finals = {}
+        for row in rows:
+            finals.setdefault((float(row["gamma"]), float(row["kg"])), []).append(
+                float(row["final_loss"])
+            )
+        assert len(finals) == 4 and all(len(v) == 2 for v in finals.values())
+
+        # four (gamma, kg) groups of two seeds each; the best one is printed
+        header, (line,) = ranking[0].split(), ranking[1:]
+        assert header == ["optimizer", "lr", "gamma", "kg", "weight_decay", "mean_final_loss", "seeds"]
+        _, _, gamma, kg, _, _, seeds = line.split()
+        means = {key: sum(v) / 2 for key, v in finals.items()}
+        assert (float(gamma), float(kg)) == min(means, key=means.get)
+        assert seeds == "2"
 
     def test_ranking_puts_non_finite_means_last(self, tmp_path, capsys, monkeypatch):
         def run_with_nan_adam(rc):

@@ -211,23 +211,6 @@ class TestSummarize:
         m = summarize(r)
         assert m.final_loss == m.best_loss
 
-    def test_threshold_above_initial_loss(self):
-        r = run(cfg(steps=5))
-        m = summarize(r, threshold=r.initial_loss * 10)
-        assert m.steps_to_threshold == 0
-
-    def test_threshold_reached_later(self):
-        r = run(cfg(optimizer="sgd", problem="quad:dim=2,noise=0", steps=200,
-                    hp=HyperParams(eta=0.05)))
-        m = summarize(r, threshold=r.initial_loss / 2)
-        assert m.steps_to_threshold is not None
-        assert 0 < m.steps_to_threshold <= 200
-
-    def test_threshold_never_reached(self):
-        r = run(cfg(steps=3))
-        m = summarize(r, threshold=0.0)
-        assert m.steps_to_threshold is None
-
     def test_wallclock_positive(self):
         m = summarize(run(cfg(steps=5)))
         assert m.wallclock_per_step > 0

@@ -24,17 +24,19 @@ class TestSpecParsing:
     def test_parameters(self):
         p = make_problem("quad:dim=4,noise=0.5,cond=10")
         assert p.dim == 4
-
-    def test_long_aliases(self):
-        assert make_problem("noisy_quadratic:dim=3").dim == 3
-        assert make_problem("logreg_synth:n=50,d=4").dim == 4
-        assert make_problem("mlp_synth:d=3,hidden=2").dim == 3 * 2 + 2 + 2 + 1
+        assert make_problem("quad:dim=4.0").theta0.shape == (4,)  # an integral float is an int
 
     def test_unknown_problem(self):
         with pytest.raises(ConfigError):
             make_problem("banana")
 
-    @pytest.mark.parametrize("spec", ["quad:dim", "quad:dim=abc", "quad:=3"])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "quad:dim", "quad:dim=abc", "quad:=3", "quad:dim=2.5", "quad:dim=nan",
+            "logreg:n=inf", "quad:noise=-1", "quad:cond=nan",
+        ],
+    )
     def test_malformed_parameters(self, spec):
         with pytest.raises(ConfigError):
             make_problem(spec)
