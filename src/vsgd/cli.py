@@ -9,9 +9,11 @@ Each ``HyperParams`` field has a flag: ``--lr`` (eta), ``--kg``, ``--kh``,
 and ``--<field>`` for the rest.  ``sweep`` runs the cross product of its
 comma lists (optimizer, every hyperparameter, seed), where optimizers without
 weight decay take only the weight-decay list's 0 entries; it writes one trace
-CSV per run plus sweep_summary.csv, and prints each optimizer's best
-hyperparameters by mean final loss over seeds.  File names and columns name
-lr, weight decay and any other hyperparameter that varies.  A config file
+CSV per run plus sweep_summary.csv, whose status column reads ok, diverged
+or error (a run that raised NumericError, printed as an error line; the
+other runs go on), and prints each optimizer's best hyperparameters by mean
+final loss over seeds.  File names and columns name lr, weight decay and any
+other hyperparameter that varies.  A config file
 (--config FILE, key=value lines mirroring the long flag names) supplies
 defaults that flags override.  --out falls back to VSGD_OUT_DIR.  Exit codes:
 0 success, 1 verification failure, divergence or NumericError, 2 I/O or
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field, fields
 
 from .config import HyperParams
 from .errors import ConfigError, NumericError
-from .harness import OPTIMIZER_NAMES, WEIGHT_DECAY_OPTIMIZERS, RunConfig, run, summarize
+from .harness import OPTIMIZER_NAMES, WEIGHT_DECAY_OPTIMIZERS, Metrics, RunConfig, run, summarize
 from .traceio import write_csv
 from .verify import SUITES, run_suites
 
@@ -43,6 +45,8 @@ EXIT_CONFIG = 2
 # HyperParams field -> its flag, config key and output column (underscored);
 # three keep the spellings the CLI had before its flags were derived
 _HP_NAMES = {f.name: f.name for f in fields(HyperParams)} | {"eta": "lr", "k_g": "kg", "k_h": "kh"}
+# a run that raised has no metrics; NaN ranks it last, as a diverged run
+_NO_METRICS = Metrics(math.nan, math.nan, math.nan)
 
 
 @dataclass
@@ -229,24 +233,28 @@ def _slug(config: RunConfig, named: list[str]) -> str:
 
 
 def _cmd_run(cfg: CliConfig) -> int:
+    """Run every config; a run's NumericError is its row, not the sweep's end."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     named = _named_fields(cfg.run_configs)
-    failed = False
     summary_rows = []
     for rc in cfg.run_configs:
-        result = run(rc)
         slug = _slug(rc, named)
+        try:
+            result = run(rc)
+        except NumericError as exc:
+            print(f"error: {slug}: {exc}", file=sys.stderr)
+            summary_rows.append((rc, _NO_METRICS, "error"))
+            continue
         path = os.path.join(cfg.out_dir, slug + ".csv")
         write_csv(result.traces, path)
         metrics = summarize(result)
-        status = "DIVERGED" if result.diverged else "ok"
+        status = "diverged" if result.diverged else "ok"
         print(
             f"{slug}: {status} final_loss={metrics.final_loss:.6g} "
             f"best_loss={metrics.best_loss:.6g} "
             f"sec_per_step={metrics.wallclock_per_step:.3e} -> {path}"
         )
-        summary_rows.append((rc, metrics, result.diverged))
-        failed = failed or result.diverged
+        summary_rows.append((rc, metrics, status))
     if len(summary_rows) > 1:
         spath = os.path.join(cfg.out_dir, "sweep_summary.csv")
         with open(spath, "w", encoding="utf-8", newline="") as fh:
@@ -254,17 +262,18 @@ def _cmd_run(cfg: CliConfig) -> int:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(
                 ["optimizer", "problem", *(_HP_NAMES[name] for name in named), "seed",
-                 "final_loss", "best_loss", "sec_per_step", "diverged"]
+                 "final_loss", "best_loss", "sec_per_step", "status"]
             )
-            for rc, metrics, diverged in summary_rows:
+            for rc, metrics, status in summary_rows:
                 writer.writerow(
                     [rc.optimizer, rc.problem,
                      *(repr(getattr(rc.hp, name)) for name in named), rc.seed,
                      repr(metrics.final_loss), repr(metrics.best_loss),
-                     repr(metrics.wallclock_per_step), int(diverged)]
+                     repr(metrics.wallclock_per_step), status]
                 )
         print(f"sweep summary -> {spath}")
         _print_ranking(summary_rows, named)
+    failed = any(status != "ok" for _, _, status in summary_rows)
     return EXIT_FAILURE if failed else EXIT_OK
 
 
@@ -310,9 +319,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -15,16 +15,22 @@ directly comparable to constant-weight optimizers:
 with rho = t**-kappa.  With k_g = beta1/(1-beta1) the mu recursion is
 Adam's first moment; the second moment mu'^2 + sigma2 splits into an
 Adam-like part plus a data-driven noise term (second_moment_decomposition).
+
+``cvsgd_step`` runs the step as one in-place kernel on ``core._blocked``,
+with three block-sized scratch buffers on the state: ``state.mu_g`` and
+``state.b_ghat`` are updated in place, not rebound.  ``cvsgd_local`` is the
+pure reference form; the kernel performs its operations in the same order,
+so the two agree bitwise.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import HyperParams
 from .errors import ConfigError
-from .core import _checked_gradient
+from .core import _blocked, _checked_gradient, _scratch
 
 __all__ = [
     "ConstantVsgdState",
@@ -45,6 +51,7 @@ class ConstantVsgdState:
     mu_g: np.ndarray
     b_ghat: np.ndarray
     a_ghat: float
+    _work: list[np.ndarray] | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -82,21 +89,55 @@ def cvsgd_step(
     hp: HyperParams,
 ) -> tuple[ConstantVsgdState, np.ndarray]:
     """One Constant VSGD step; state and theta are updated in place."""
-    mu_new, sigma2 = cvsgd_local(state, g_hat, hp)
+    g_hat = _checked_gradient(g_hat, state.dim)
     t = state.t + 1
     rho = float(t) ** -hp.kappa
-    s_value = (
-        hp.gamma
-        + 0.5 * (sigma2 + (mu_new - np.asarray(g_hat, dtype=np.float64)) ** 2)
-        + 0.5 * hp.k_g * (sigma2 + (mu_new - state.mu_g) ** 2)
+    _blocked(
+        _cvsgd_block,
+        (state.mu_g, state.b_ghat, theta),
+        g_hat,
+        _scratch(state, 3),
+        (hp.k_g / (hp.k_g + 1.0), 1.0 / (hp.k_g + 1.0), state.a_ghat, rho, hp),
     )
-    state.b_ghat *= 1.0 - rho
-    state.b_ghat += rho * s_value
-    state.mu_g = mu_new
     state.a_ghat = hp.gamma + 1.0
     state.t = t
-    theta -= hp.eta * mu_new / np.sqrt(mu_new * mu_new + sigma2)
     return state, theta
+
+
+def _cvsgd_block(work, arrays, g_hat, scalars):
+    """The step on one element block, in place; ``a_ghat`` is the pre-step shape."""
+    sig, mu_new, res = work
+    mu, b_ghat, theta = arrays
+    w_prev, w_obs, a_ghat, rho, hp = scalars
+    np.divide(b_ghat, a_ghat, out=sig)
+    sig *= w_obs  # sigma2
+    np.multiply(mu, w_prev, out=mu_new)
+    np.multiply(g_hat, w_obs, out=res)
+    mu_new += res
+
+    # b_ghat <- (1-rho)*b_ghat + rho*[gamma + 0.5*(sigma2 + (mu'-g_hat)^2)
+    #                                 + 0.5*k_g*(sigma2 + (mu'-mu)^2)]
+    np.subtract(mu_new, mu, out=mu)  # mu is now the drift residual
+    mu *= mu
+    mu += sig
+    mu *= 0.5 * hp.k_g
+    np.subtract(mu_new, g_hat, out=res)
+    res *= res
+    res += sig
+    res *= 0.5
+    res += hp.gamma
+    res += mu
+    b_ghat *= 1.0 - rho
+    res *= rho
+    b_ghat += res
+
+    mu[...] = mu_new
+    np.multiply(mu_new, mu_new, out=res)
+    res += sig
+    np.sqrt(res, out=res)
+    mu_new *= hp.eta
+    mu_new /= res
+    theta -= mu_new
 
 
 def state_sigma2(state: ConstantVsgdState, hp: HyperParams) -> np.ndarray:

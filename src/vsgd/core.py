@@ -25,6 +25,11 @@ independently; all state arrays are flat and parallel, in float64.
 feeds it the per-sample averages of the squared residuals and local means.
 The component functions below are the pure reference forms and agree with
 the kernel up to float associativity.
+
+``_blocked`` runs every VSGD-family kernel, this one and Constant and
+Second-order VSGD's: it calls a kernel on cache-sized element blocks of
+the state and theta arrays, or once on the whole arrays when the dim fits
+in one block, and blocking changes no bit of the result.
 """
 from __future__ import annotations
 
@@ -219,51 +224,67 @@ def minibatch_step(
     return _fused_step(state, theta, samples, hp)
 
 
-# Elements per kernel block.  A block's ~11 arrays (state, theta, gradient,
-# scratch) fit in L2, so the kernel's ~25 passes read cache instead of
+# Elements per kernel block.  A block's arrays (state, theta, gradient,
+# scratch) fit in L2, so a kernel's 25-45 passes read cache instead of
 # streaming every pass from memory at large dim.
 _BLOCK = 16384
 
 
-def _fused_step(state: VsgdState, theta: np.ndarray, g_hat: np.ndarray, hp: HyperParams):
-    """In-place step kernel for a checked gradient (dim,) or block (M, dim).
+def _scratch(state, count: int) -> list[np.ndarray]:
+    """The state's ``count`` block-sized scratch buffers, made on first use."""
+    work, size = state._work, min(len(state.mu_g), _BLOCK + 1)
+    if work is None or len(work[0]) != size:
+        work = state._work = [np.empty(size) for _ in range(count)]
+    return work
 
-    The same ufunc sequence runs over consecutive element blocks of at most
-    ``_BLOCK`` elements (``_BLOCK + 1`` for the last), with block-sized
-    scratch buffers on the state; a dim that fits in one block is one call
-    on the whole arrays.  Every pass is elementwise or a per-element mean
-    over samples, so blocking does not change a single bit.
+
+def _blocked(kernel, arrays, g_hat, work, scalars) -> None:
+    """Run ``kernel(work, arrays, g_hat, scalars)`` over element blocks.
+
+    ``arrays`` is a tuple of the (dim,) state and theta arrays the kernel
+    updates in place, ``g_hat`` a checked gradient (dim,) or sample block
+    (M, dim), ``work`` the scratch buffers from ``_scratch`` and ``scalars``
+    a tuple of the step's scalars.  The kernel unpacks both tuples itself:
+    star-arguments would cost a dim-10 step a few percent.  Blocks hold at
+    most ``_BLOCK`` elements (``_BLOCK + 1`` for the last); a dim that fits
+    in one block is one call on the whole arrays, with no slicing.  Every
+    kernel pass is elementwise or a per-element mean over samples, so
+    blocking does not change a single bit.
     """
-    t = state.t + 1
-    rho1, rho2 = svi_rates(t, hp)
-    dim = state.dim
-    size = min(dim, _BLOCK + 1)
-    if state._work is None or state._work[0].shape != (size,):
-        state._work = [np.empty(size) for _ in range(6)]
-    step = (state.a, rho1, rho2, hp)
+    dim = len(arrays[0])
+    if dim <= _BLOCK + 1:
+        kernel(work, arrays, g_hat, scalars)
+        return
     # a one-element tail joins the block before it: np.mean over the samples
     # of an (M, 1) block sums pairwise, so for M >= 9 it would round
     # differently from the same element inside a wider block
-    starts = range(0, max(dim - 1, 1), _BLOCK)
-    if len(starts) == 1:
-        _block_step(state._work, state.mu_g, state.b_g, state.b_ghat, theta, g_hat, *step)
-    else:
-        for lo, hi in zip(starts, [*starts[1:], dim]):
-            _block_step(
-                [w[: hi - lo] for w in state._work],
-                state.mu_g[lo:hi],
-                state.b_g[lo:hi],
-                state.b_ghat[lo:hi],
-                theta[lo:hi],
-                g_hat[..., lo:hi],
-                *step,
-            )
+    starts = range(0, dim - 1, _BLOCK)
+    for lo, hi in zip(starts, [*starts[1:], dim]):
+        kernel(
+            [w[: hi - lo] for w in work],
+            tuple(x[lo:hi] for x in arrays),
+            g_hat[..., lo:hi],
+            scalars,
+        )
+
+
+def _fused_step(state: VsgdState, theta: np.ndarray, g_hat: np.ndarray, hp: HyperParams):
+    """In-place step for a checked gradient (dim,) or block (M, dim)."""
+    t = state.t + 1
+    rho1, rho2 = svi_rates(t, hp)
+    _blocked(
+        _block_step,
+        (state.mu_g, state.b_g, state.b_ghat, theta),
+        g_hat,
+        _scratch(state, 6),
+        (state.a, rho1, rho2, hp),
+    )
     state.t = t
     state.a = hp.gamma + 0.5
     return state, theta
 
 
-def _block_step(work, mu, b_g, b_ghat, theta, g_hat, a, rho1, rho2, hp):
+def _block_step(work, arrays, g_hat, scalars):
     """The step on one element block, in place; ``a`` is the pre-step shape.
 
     A gradient block (M, n) averages its per-sample squared residuals and
@@ -271,6 +292,8 @@ def _block_step(work, mu, b_g, b_ghat, theta, g_hat, a, rho1, rho2, hp):
     the step is shared.
     """
     s, w_obs, w_prev, sig, obs, dev = work
+    mu, b_g, b_ghat, theta = arrays
+    a, rho1, rho2, hp = scalars
 
     np.add(b_g, b_ghat, out=s)
     np.divide(b_g, s, out=w_obs)
@@ -334,8 +357,9 @@ def _checked_gradient(g_hat: np.ndarray, dim: int) -> np.ndarray:
     if g_hat.shape != (dim,):
         raise ValueError(f"gradient shape {g_hat.shape} != state dim ({dim},)")
     # one fused reduction; the elementwise scan only runs when the dot
-    # product overflows or really saw a non-finite entry
-    if not math.isfinite(float(np.dot(g_hat, g_hat))):
+    # product overflows or really saw a non-finite entry.  The method form
+    # skips np.dot's dispatch, a tenth of the check at small dims.
+    if not math.isfinite(g_hat.dot(g_hat)):
         if not np.isfinite(g_hat).all():
             raise NumericError("non-finite gradient rejected")
     return g_hat

@@ -61,6 +61,8 @@ class RunConfig:
             )
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
+        if self.seed < 0:  # PCG64 takes no negative seed
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.record_stride < 1:
             raise ConfigError(f"record_stride must be >= 1, got {self.record_stride}")
         if self.hp.weight_decay > 0 and self.optimizer not in WEIGHT_DECAY_OPTIMIZERS:

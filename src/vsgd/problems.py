@@ -79,8 +79,8 @@ def make_problem(spec: str) -> Problem:
 def _make_quad(dim: int = 10, noise: float = 0.0, cond: float = 1.0) -> Problem:
     if dim < 1:
         raise ConfigError(f"quad needs dim >= 1, got {dim}")
-    if not cond >= 1.0:  # NaN fails too
-        raise ConfigError(f"quad condition number must be >= 1, got {cond}")
+    if not 1.0 <= cond < np.inf:  # NaN fails too
+        raise ConfigError(f"quad condition number must be finite and >= 1, got {cond}")
     if not noise >= 0.0:
         raise ConfigError(f"quad noise must be >= 0, got {noise}")
     diag = np.geomspace(1.0, cond, dim) if cond != 1.0 else np.ones(dim)

@@ -10,8 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 def make_rng(seed: int) -> np.random.Generator:
+    if seed < 0:  # PCG64 takes no negative seed
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     return np.random.Generator(np.random.PCG64(seed))
 
 

@@ -25,16 +25,24 @@ rho = (t+1)**-kappa afterwards, and the parameter step scales by the
 curvature magnitude sqrt(E[h^2]) = sqrt(mu_h'^2 + sigma2_h):
 
     theta <- theta - eta * mu_g' / sqrt(mu_h'^2 + sigma2_h)
+
+``so_vsgd_step`` runs the step as one in-place kernel on ``core._blocked``,
+with seven block-sized scratch buffers on the state: ``state.mu_g``,
+``state.mu_h`` and the three rates are updated in place, not rebound.  The
+gradient and the zero-denominator guard are checked over the whole arrays
+before any block is written.  ``so_local_update`` and
+``guarded_denominator`` are the pure reference forms; the kernel performs
+their operations in the same order, so the two agree bitwise.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import HyperParams
 from .errors import ConfigError, NumericError
-from .core import _checked_gradient, state_sigma2
+from .core import _blocked, _checked_gradient, _scratch, state_sigma2
 
 __all__ = [
     "SecondOrderState",
@@ -54,6 +62,7 @@ class SecondOrderState:
     b_g: np.ndarray
     b_ghat: np.ndarray
     a: float
+    _work: list[np.ndarray] | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -89,12 +98,16 @@ def guarded_denominator(mu_g: np.ndarray, eps: float) -> np.ndarray:
 
     eps = 0 with a zero entry raises instead of letting 0/0 produce NaN.
     """
+    _check_guard(mu_g, eps)
+    sign = np.where(mu_g >= 0.0, 1.0, -1.0)
+    return sign * np.maximum(np.abs(mu_g), eps)
+
+
+def _check_guard(mu_g: np.ndarray, eps: float) -> None:
     if eps == 0.0 and bool(np.any(mu_g == 0.0)):
         raise NumericError(
             "gradient-ratio denominator is zero (mu_g = 0 with mu_guard_eps = 0)"
         )
-    sign = np.where(mu_g >= 0.0, 1.0, -1.0)
-    return sign * np.maximum(np.abs(mu_g), eps)
 
 
 def so_local_update(
@@ -121,27 +134,100 @@ def so_vsgd_step(
     g_hat: np.ndarray,
     hp: HyperParams,
 ) -> tuple[SecondOrderState, np.ndarray]:
-    """One Second-order VSGD step; state and theta are updated in place."""
+    """One Second-order VSGD step; state and theta are updated in place.
+
+    The gradient and the whole of mu_g are checked before any block is
+    written, so a step that raises leaves state and theta untouched.
+    """
     g_hat = _checked_gradient(g_hat, state.dim)
+    _check_guard(state.mu_g, hp.mu_guard_eps)
     t = state.t + 1
     rho1, rho2 = so_rates(t, hp)
-    mu_h_new, sigma2_h, mu_g_new, sigma2_g = so_local_update(state, g_hat, hp)
-    mu_g_prev, mu_h_prev = state.mu_g, state.mu_h
-
-    b_h_prime = hp.k_h * hp.gamma + 0.5 * (sigma2_h + (mu_h_new - mu_h_prev) ** 2)
-    # expected squared residual E[(g - mu_g - h)^2] under independent
-    # q(g), q(h): nonnegative, so b_g stays positive
-    b_g_prime = hp.gamma + 0.5 * (
-        (mu_g_new - mu_g_prev - mu_h_new) ** 2 + sigma2_g + sigma2_h
+    _blocked(
+        _so_block,
+        (state.mu_g, state.mu_h, state.b_h, state.b_g, state.b_ghat, theta),
+        g_hat,
+        _scratch(state, 7),
+        (state.a, rho1, rho2, hp),
     )
-    b_ghat_prime = hp.k_g * hp.gamma + 0.5 * (sigma2_g + (mu_g_new - g_hat) ** 2)
-
-    state.b_h = (1.0 - rho1) * state.b_h + rho1 * b_h_prime
-    state.b_g = (1.0 - rho1) * state.b_g + rho1 * b_g_prime
-    state.b_ghat = (1.0 - rho2) * state.b_ghat + rho2 * b_ghat_prime
-    state.mu_g = mu_g_new
-    state.mu_h = mu_h_new
     state.a = hp.gamma + 0.5
     state.t = t
-    theta -= hp.eta * mu_g_new / np.sqrt(mu_h_new * mu_h_new + sigma2_h)
     return state, theta
+
+
+def _so_block(work, arrays, g_hat, scalars):
+    """The step on one element block, in place; ``a`` is the pre-step shape."""
+    s_gh, s_gg, tot, sig_h, sig_g, mu_h_new, tmp = work
+    mu_g, mu_h, b_h, b_g, b_ghat, theta = arrays
+    a, rho1, rho2, hp = scalars
+    np.add(b_g, b_h, out=s_gh)
+    np.add(b_g, b_ghat, out=s_gg)
+    np.add(s_gh, b_ghat, out=tot)  # btot
+    np.multiply(b_h, b_g, out=sig_h)
+    np.multiply(s_gh, a, out=tmp)
+    sig_h /= tmp  # sigma2_h
+    np.multiply(b_g, b_ghat, out=sig_g)
+    np.multiply(s_gg, a, out=tmp)
+    sig_g /= tmp  # sigma2_g
+
+    # guarded ratio (g_hat - mu_g)/(sign(mu_g)*max(|mu_g|, eps)); adding 0.0
+    # turns -0.0 into +0.0, so copysign takes sign(0) as +1
+    np.abs(mu_g, out=tmp)
+    np.maximum(tmp, hp.mu_guard_eps, out=tmp)
+    np.add(mu_g, 0.0, out=mu_h_new)
+    np.copysign(tmp, mu_h_new, out=tmp)
+    np.subtract(g_hat, mu_g, out=mu_h_new)
+    mu_h_new /= tmp
+    np.divide(b_h, tot, out=tmp)
+    mu_h_new *= tmp
+    s_gg /= tot
+    s_gg *= mu_h
+    mu_h_new += s_gg  # mu_h'
+    mu_g_new = s_gh
+    mu_g_new /= tot
+    mu_g_new *= g_hat
+    np.divide(b_ghat, tot, out=tot)
+    np.add(mu_h, mu_g, out=tmp)
+    tmp *= tot
+    mu_g_new += tmp  # mu_g'
+
+    # each rate b <- (1-rho)*b + rho*b', b' = prior + 0.5*(expected squared residual)
+    np.subtract(mu_h_new, mu_h, out=tmp)
+    tmp *= tmp
+    tmp += sig_h
+    tmp *= 0.5
+    tmp += hp.k_h * hp.gamma
+    b_h *= 1.0 - rho1
+    tmp *= rho1
+    b_h += tmp
+
+    # b_g' takes the expected squared residual E[(g - mu_g - h)^2] under
+    # independent q(g), q(h): nonnegative, so b_g stays positive
+    np.subtract(mu_g_new, mu_g, out=tmp)
+    tmp -= mu_h_new
+    tmp *= tmp
+    tmp += sig_g
+    tmp += sig_h
+    tmp *= 0.5
+    tmp += hp.gamma
+    b_g *= 1.0 - rho1
+    tmp *= rho1
+    b_g += tmp
+
+    np.subtract(mu_g_new, g_hat, out=tmp)
+    tmp *= tmp
+    tmp += sig_g
+    tmp *= 0.5
+    tmp += hp.k_g * hp.gamma
+    b_ghat *= 1.0 - rho2
+    tmp *= rho2
+    b_ghat += tmp
+
+    mu_g[...] = mu_g_new
+    mu_h[...] = mu_h_new
+    np.multiply(mu_h_new, mu_h_new, out=tmp)
+    tmp += sig_h
+    np.sqrt(tmp, out=tmp)
+    mu_g_new *= hp.eta
+    mu_g_new /= tmp
+    theta -= mu_g_new

@@ -10,7 +10,7 @@ import pytest
 import vsgd.cli
 from vsgd import HyperParams, harness
 from vsgd.cli import main, parse_args
-from vsgd.errors import ConfigError
+from vsgd.errors import ConfigError, NumericError
 from vsgd.traceio import CSV_HEADER, read_csv
 
 
@@ -269,12 +269,20 @@ class TestRunCommand:
         )
         assert code == 1
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # geomspace to inf
     def test_numeric_error_exits_one_with_error_line(self, tmp_path, capsys):
-        argv = ["run", "--problem", "quad:dim=2,cond=inf", "--steps", "5"]
+        # mu_g starts at 0, so an unguarded gradient ratio raises at step 1
+        argv = ["run", "--optimizer", "so-vsgd", "--mu-guard-eps", "0", "--steps", "5"]
         assert main([*argv, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flags", [["--seed", "-1"], ["--problem", "logreg:seed=-1"], ["--problem", "mlp:seed=-1"]]
+    )
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, flags):
+        assert main(["run", *flags, "--steps", "5", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed must be >= 0" in err
 
     def test_weight_decay_on_baseline_rejected(self, tmp_path):
         code = main(
@@ -398,6 +406,33 @@ class TestSweepCommand:
         ranking = capsys.readouterr().out.split("sweep summary -> ", 1)[1].splitlines()[2:]
         assert [line.split()[0] for line in ranking][-1] == "adam"
         assert ranking[-1].split()[3] == "nan"
+
+    def test_numeric_error_in_one_run_is_its_row(self, tmp_path, capsys, monkeypatch):
+        def run_with_failing_adam(rc):
+            if rc.optimizer == "adam" and rc.seed == 2:
+                raise NumericError("non-finite gradient rejected")
+            return harness.run(rc)
+
+        monkeypatch.setattr(vsgd.cli, "run", run_with_failing_adam)
+        argv = ["sweep", "--optimizer", "adam,sgd", "--steps", "20", "--seed", "1,2"]
+        assert main([*argv, "--out", str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert err == "error: adam_quad_lr0.01_wd0_seed2: non-finite gradient rejected\n"
+        traces = sorted(p.name for p in tmp_path.iterdir() if p.name != "sweep_summary.csv")
+        assert traces == [
+            "adam_quad_lr0.01_wd0_seed1.csv",
+            "sgd_quad_lr0.01_wd0_seed1.csv",
+            "sgd_quad_lr0.01_wd0_seed2.csv",
+        ]
+        with open(tmp_path / "sweep_summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["optimizer"], r["seed"], r["status"]) for r in rows] == [
+            ("adam", "1", "ok"), ("adam", "2", "error"), ("sgd", "1", "ok"), ("sgd", "2", "ok")
+        ]
+        assert rows[1]["final_loss"] == "nan"
+        # the failed seed makes adam's mean NaN, which ranks last
+        ranking = out.split("sweep summary -> ", 1)[1].splitlines()[2:]
+        assert [line.split()[0] for line in ranking] == ["sgd", "adam"]
 
 
 class TestVerifyCommand:

@@ -17,8 +17,10 @@ from vsgd import (
     vsgd_step,
 )
 from vsgd import core
+from vsgd.constant import cvsgd_local, cvsgd_step, init_constant_state
 from vsgd.core import VsgdState
 from vsgd.rng import make_rng, normal
+from vsgd.second_order import init_so_state, so_local_update, so_rates, so_vsgd_step
 
 HP = HyperParams(eta=0.01)
 
@@ -472,3 +474,102 @@ class TestBlockedKernel:
         for name in ("mu_g", "b_g", "b_ghat"):
             assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes(), name
         assert (blocked.a, blocked.t) == (whole.a, whole.t)
+
+    # Constant and Second-order VSGD run their own kernels through the same block loop
+    VARIANTS = {
+        "constant-vsgd": (init_constant_state, cvsgd_step),
+        "so-vsgd": (init_so_state, so_vsgd_step),
+    }
+
+    @staticmethod
+    def arrays(state):
+        return {k: v for k, v in vars(state).items() if isinstance(v, np.ndarray)}
+
+    def variant_stream(self, name, dim, check_pure=False):
+        init, step = self.VARIANTS[name]
+        hp = HyperParams(eta=0.01)
+        rng = make_rng(dim)
+        state, theta = init(dim, hp), normal(rng, dim)
+        for _ in range(5):
+            scale = 10.0 ** rng.integers(-6, 7, size=dim)
+            g_hat = normal(rng, dim) * scale
+            pure = self.pure_step(name, state, theta, g_hat, hp) if check_pure else None
+            step(state, theta, g_hat, hp)
+            if pure is not None:
+                for key, value in pure.items():
+                    got = theta if key == "theta" else getattr(state, key)
+                    np.testing.assert_allclose(got, value, rtol=1e-13, atol=0, err_msg=key)
+        return state, theta
+
+    @staticmethod
+    def pure_step(name, state, theta, g_hat, hp):
+        """The step composed from the pure forms and the documented updates."""
+        if name == "constant-vsgd":
+            mu, sigma2 = cvsgd_local(state, g_hat, hp)
+            rho = float(state.t + 1) ** -hp.kappa
+            b_ghat_prime = (
+                hp.gamma + 0.5 * (sigma2 + (mu - g_hat) ** 2)
+                + 0.5 * hp.k_g * (sigma2 + (mu - state.mu_g) ** 2)
+            )
+            return {
+                "mu_g": mu,
+                "b_ghat": (1 - rho) * state.b_ghat + rho * b_ghat_prime,
+                "theta": theta - hp.eta * mu / np.sqrt(mu * mu + sigma2),
+            }
+        mu_h, sigma2_h, mu_g, sigma2_g = so_local_update(state, g_hat, hp)
+        rho1, rho2 = so_rates(state.t + 1, hp)
+        b_h_prime = hp.k_h * hp.gamma + 0.5 * (sigma2_h + (mu_h - state.mu_h) ** 2)
+        b_g_prime = hp.gamma + 0.5 * (
+            (mu_g - state.mu_g - mu_h) ** 2 + sigma2_g + sigma2_h
+        )
+        b_ghat_prime = hp.k_g * hp.gamma + 0.5 * (sigma2_g + (mu_g - g_hat) ** 2)
+        return {
+            "mu_g": mu_g,
+            "mu_h": mu_h,
+            "b_h": (1 - rho1) * state.b_h + rho1 * b_h_prime,
+            "b_g": (1 - rho1) * state.b_g + rho1 * b_g_prime,
+            "b_ghat": (1 - rho2) * state.b_ghat + rho2 * b_ghat_prime,
+            "theta": theta - hp.eta * mu_g / np.sqrt(mu_h * mu_h + sigma2_h),
+        }
+
+    @pytest.mark.parametrize("dim", [50, 53])
+    @pytest.mark.parametrize("name", sorted(VARIANTS))
+    def test_variant_small_blocks_bitwise_equal_one_block(self, monkeypatch, name, dim):
+        whole, whole_theta = self.variant_stream(name, dim)
+        monkeypatch.setattr(core, "_BLOCK", 7)
+        blocked, blocked_theta = self.variant_stream(name, dim, check_pure=True)
+        assert blocked_theta.tobytes() == whole_theta.tobytes()
+        whole_arrays = self.arrays(whole)
+        for key, value in self.arrays(blocked).items():
+            assert value.tobytes() == whole_arrays[key].tobytes(), key
+        scalars = [(k, v) for k, v in vars(whole).items() if k in ("t", "a", "a_ghat")]
+        assert [(k, getattr(blocked, k)) for k, _ in scalars] == scalars
+
+    @pytest.mark.parametrize(
+        "name, guard_eps, bad_gradient",
+        [("so-vsgd", 0.0, False), ("so-vsgd", 1e-8, True), ("constant-vsgd", 1e-8, True)],
+    )
+    def test_rejected_step_leaves_every_block_untouched(
+        self, monkeypatch, name, guard_eps, bad_gradient
+    ):
+        # the fault sits in the last of eight blocks, so a check made block
+        # by block would already have written the seven before it
+        monkeypatch.setattr(core, "_BLOCK", 7)
+        init, step = self.VARIANTS[name]
+        hp = HyperParams(eta=0.01, mu_guard_eps=guard_eps)
+        rng = make_rng(0)
+        state, theta = init(53, hp), normal(rng, 53)
+        state.mu_g[:] = normal(rng, 53)
+        g_hat = normal(rng, 53)
+        if bad_gradient:
+            g_hat[-1] = np.nan
+        else:
+            state.mu_g[-1] = 0.0
+        before = {k: v.copy() for k, v in self.arrays(state).items()}
+        theta_before, t_before = theta.copy(), state.t
+        with pytest.raises(NumericError):
+            step(state, theta, g_hat, hp)
+        assert theta.tobytes() == theta_before.tobytes()
+        for key, value in self.arrays(state).items():
+            assert value.tobytes() == before[key].tobytes(), key
+        assert state.t == t_before

@@ -38,6 +38,11 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             cfg(record_stride=0)
 
+    def test_negative_seed_rejected(self):
+        cfg(seed=0)  # fine
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            cfg(seed=-1)
+
     def test_weight_decay_restricted_to_vsgd(self):
         cfg(hp=HyperParams(eta=0.01, weight_decay=0.01))  # fine
         with pytest.raises(ConfigError):

@@ -34,7 +34,8 @@ class TestSpecParsing:
         "spec",
         [
             "quad:dim", "quad:dim=abc", "quad:=3", "quad:dim=2.5", "quad:dim=nan",
-            "logreg:n=inf", "quad:noise=-1", "quad:cond=nan",
+            "logreg:n=inf", "quad:noise=-1", "quad:cond=nan", "quad:cond=inf",
+            "logreg:seed=-1", "mlp:seed=-1",
         ],
     )
     def test_malformed_parameters(self, spec):
