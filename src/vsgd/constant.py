@@ -147,7 +147,9 @@ def state_sigma2(state: ConstantVsgdState, hp: HyperParams) -> np.ndarray:
     which differs in the last bit on some elements; the recorded traces keep
     this form.
     """
-    return (state.b_ghat / state.a_ghat) / (hp.k_g + 1.0)
+    sigma2 = state.b_ghat / state.a_ghat
+    sigma2 /= hp.k_g + 1.0
+    return sigma2
 
 
 def adam_first_moment_equivalence(beta1: float) -> float:

@@ -348,8 +348,24 @@ def _block_step(work, arrays, g_hat, scalars):
 
 
 def state_sigma2(state: VsgdState) -> np.ndarray:
-    """Posterior gradient variance implied by a VSGD or second-order state's rates."""
-    return state.b_g * state.b_ghat / (state.a * (state.b_g + state.b_ghat))
+    """Posterior gradient variance implied by a VSGD or second-order state's rates.
+
+    Above one block, the result is the only dim-sized array made: the
+    denominators are computed per block in one block-sized buffer.
+    """
+    b_g, b_ghat, a = state.b_g, state.b_ghat, state.a
+    dim = len(b_g)
+    if dim <= _BLOCK:
+        return b_g * b_ghat / (a * (b_g + b_ghat))
+    out = b_g * b_ghat
+    den = np.empty(_BLOCK)
+    for lo in range(0, dim, _BLOCK):
+        hi = min(lo + _BLOCK, dim)
+        d = den[: hi - lo]
+        np.add(b_g[lo:hi], b_ghat[lo:hi], out=d)
+        d *= a
+        out[lo:hi] /= d
+    return out
 
 
 def _checked_gradient(g_hat: np.ndarray, dim: int) -> np.ndarray:

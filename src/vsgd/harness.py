@@ -16,6 +16,7 @@ points, so at ``record_stride > 1`` a run whose loss blows up before its
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -125,7 +126,25 @@ def parse_scheduler(spec: str) -> Callable[[int], float]:
 
 
 def _mean(x: np.ndarray) -> float:
-    return float(np.mean(x))
+    # np.mean's own arithmetic for a float64 array, without its dispatch
+    return float(x.sum()) / x.size
+
+
+def _norm(x) -> float:
+    """``float(np.linalg.norm(x))``, bitwise.
+
+    For a contiguous 1-D float64 array that is ``sqrt(x.dot(x))``, computed
+    here without ``norm``'s dispatch; any other gradient a custom problem
+    returns goes through ``norm`` itself.
+    """
+    if (
+        type(x) is np.ndarray
+        and x.dtype == np.float64
+        and x.ndim == 1
+        and x.flags.c_contiguous
+    ):
+        return math.sqrt(x.dot(x))
+    return float(np.linalg.norm(x))
 
 
 def _rate_summaries(state, params):
@@ -227,7 +246,7 @@ def run(config: RunConfig, problem: Problem | None = None) -> RunResult:
     scale = parse_scheduler(config.scheduler)
     stepper = make_stepper(config.optimizer, problem.dim, config)
     rng = make_rng(config.seed)
-    theta = problem.theta0.astype(np.float64).copy()
+    theta = np.array(problem.theta0, dtype=np.float64)  # one copy
     initial_loss = float(problem.loss(theta))
 
     traces: list[StepTrace] = []
@@ -238,20 +257,16 @@ def run(config: RunConfig, problem: Problem | None = None) -> RunResult:
         g_hat = problem.sample_grad(theta, rng)
         theta = stepper.step(theta, g_hat, config.hp.eta * scale(t))
         steps_run = t
-        record = t % config.record_stride == 0 or t == config.steps
-        theta_norm = float(np.linalg.norm(theta))
+        theta_norm = math.sqrt(theta.dot(theta))  # np.linalg.norm's arithmetic
         bad = not theta_norm <= DIVERGENCE_LIMIT  # NaN fails the bound too
-        if record or bad:
+        record = bad or t % config.record_stride == 0 or t == config.steps
+        grad_norm = _norm(g_hat) if record else None
+        g_hat = None  # freed before the loss, the summaries and the next draw
+        if record:
             loss = float(problem.loss(theta))
             bad = bad or not np.isfinite(loss) or abs(loss) > DIVERGENCE_LIMIT
             traces.append(
-                StepTrace(
-                    t,
-                    loss,
-                    float(np.linalg.norm(g_hat)),
-                    theta_norm,
-                    *stepper.summaries(),
-                )
+                StepTrace(t, loss, grad_norm, theta_norm, *stepper.summaries())
             )
         if bad:
             diverged = True

@@ -11,6 +11,10 @@ specified by a small string DSL so parameters fit through one CLI flag:
     mlp[:n=256,d=8,hidden=10,seed=7,batch=32]
                                           2-layer tanh regression network
                                           with closed-form backprop
+
+A noisy gradient is built in the buffer of its normal draw (see
+``_sampler``), and ``quad`` with ``cond=1`` stores no diagonal, so at large
+dim a ``quad`` gradient sample allocates one dim-sized array: itself.
 """
 from __future__ import annotations
 
@@ -83,25 +87,55 @@ def _make_quad(dim: int = 10, noise: float = 0.0, cond: float = 1.0) -> Problem:
         raise ConfigError(f"quad condition number must be finite and >= 1, got {cond}")
     if not noise >= 0.0:
         raise ConfigError(f"quad noise must be >= 0, got {noise}")
-    diag = np.geomspace(1.0, cond, dim) if cond != 1.0 else np.ones(dim)
+    if cond == 1.0:  # A = I: no diagonal is stored
 
-    def loss(theta: np.ndarray) -> float:
-        return 0.5 * float(np.dot(theta, diag * theta))
+        def loss(theta: np.ndarray) -> float:
+            return 0.5 * float(np.dot(theta, theta))
 
-    def true_grad(theta: np.ndarray) -> np.ndarray:
-        return diag * theta
+        def true_grad(theta: np.ndarray) -> np.ndarray:
+            return theta.copy()
 
-    if noise > 0.0:
-
-        def sample_grad(theta, rng):
-            return diag * theta + noise * normal(rng, dim)
+        def mean(theta: np.ndarray) -> np.ndarray:  # read only: no copy
+            return theta
 
     else:
+        diag = np.geomspace(1.0, cond, dim)
 
-        def sample_grad(theta, rng):
+        def loss(theta: np.ndarray) -> float:
+            return 0.5 * float(np.dot(theta, diag * theta))
+
+        def true_grad(theta: np.ndarray) -> np.ndarray:
             return diag * theta
 
-    return Problem("quad", dim, np.ones(dim), loss, true_grad, sample_grad)
+        mean = true_grad
+
+    return Problem(
+        "quad", dim, np.ones(dim), loss, true_grad, _sampler(true_grad, noise, dim, mean)
+    )
+
+
+def _sampler(true_grad, noise: float, dim: int, mean=None):
+    """``sample_grad`` for ``true_grad(theta) + noise * z``, z standard normal.
+
+    The gradient is built in the normal draw's buffer: ``z *= noise`` (not
+    for ``noise == 1``), then ``z += mean(theta)``, where ``mean`` (default
+    ``true_grad``) gives the true gradient's values but may return theta
+    itself.  Float ``+`` and ``*`` commute and ``1.0 * z == z``, so the bits
+    are the formula's, and the result is a fresh array that never aliases
+    theta.  With no noise it is ``true_grad(theta)``.
+    """
+    if noise == 0.0:
+        return lambda theta, rng: true_grad(theta)
+    mean = mean or true_grad
+
+    def sample_grad(theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        z = normal(rng, dim)
+        if noise != 1.0:
+            z *= noise
+        z += mean(theta)
+        return z
+
+    return sample_grad
 
 
 def _make_rosenbrock(dim: int = 2, noise: float = 0.0) -> Problem:
@@ -121,28 +155,17 @@ def _make_rosenbrock(dim: int = 2, noise: float = 0.0) -> Problem:
         g[1:] += 200.0 * (y - x * x)
         return g
 
-    if noise > 0.0:
-
-        def sample_grad(theta, rng):
-            return true_grad(theta) + noise * normal(rng, dim)
-
-    else:
-
-        def sample_grad(theta, rng):
-            return true_grad(theta)
-
     theta0 = np.where(np.arange(dim) % 2 == 0, -1.2, 1.0)
-    return Problem("rosenbrock", dim, theta0, loss, true_grad, sample_grad)
+    return Problem(
+        "rosenbrock", dim, theta0, loss, true_grad, _sampler(true_grad, noise, dim)
+    )
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # piecewise for overflow safety on both tails
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below, so neither tail
+    # overflows; exp(-|z|) is the exp of either branch, with no masking
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _make_logreg(

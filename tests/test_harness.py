@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,10 +11,13 @@ from vsgd.harness import (
     DIVERGENCE_LIMIT,
     OPTIMIZER_NAMES,
     RunResult,
+    _mean,
+    _norm,
     make_stepper,
     parse_scheduler,
 )
-from vsgd.problems import Problem
+from vsgd.problems import Problem, make_problem
+from vsgd.rng import make_rng
 
 
 def cfg(**kw):
@@ -207,6 +212,61 @@ class TestRun:
         r = run(cfg(problem="ignored-when-injected", steps=7), problem=p)
         assert calls["n"] == 7
         assert not r.diverged
+
+    @pytest.mark.parametrize(
+        "convert",
+        [
+            lambda g: g.astype(np.float32),
+            list,
+            lambda g: np.repeat(g, 2)[::2],  # strided view
+            lambda g: np.round(10 * g).astype(np.int64),
+        ],
+        ids=["float32", "list", "strided", "int64"],
+    )
+    def test_custom_gradient_types_accepted(self, convert):
+        base = make_problem("quad:dim=5,noise=0.5")
+        norms = []
+
+        def sample(theta, rng):
+            g = convert(base.sample_grad(theta, rng))
+            norms.append(float(np.linalg.norm(g)))
+            return g
+
+        p = dataclasses.replace(base, sample_grad=sample)
+        r = run(cfg(problem="quad", steps=6), problem=p)
+        assert [tr.grad_norm for tr in r.traces] == norms
+
+    def test_large_dim_step_allocates_no_temporary_arrays(self):
+        """At large dim a run holds the state, theta and one gradient or
+        summary buffer; beyond those, only block-sized buffers."""
+        dim = 200_000
+        array_bytes = 8 * dim
+        problem = make_problem(f"quad:dim={dim},noise=1.0")
+        config = cfg(optimizer="so-vsgd", problem="quad", steps=5, record_stride=1)
+        # a first run's lazy imports would count against the bound
+        run(cfg(optimizer="so-vsgd", problem="quad:dim=10,noise=1.0", steps=2))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            run(config, problem)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        # 5 state arrays, theta, and the gradient or the sigma2 summary
+        assert peak <= 7 * array_bytes + 2_000_000, peak / array_bytes
+
+
+@np.errstate(over="ignore")  # magnitudes near 1e200 overflow the sum of squares
+def test_norm_and_mean_match_numpy_bitwise():
+    rng = make_rng(11)
+    for _ in range(300):
+        dim = int(10 ** rng.uniform(0, 5))
+        x = rng.standard_normal(dim) * 10.0 ** rng.uniform(-200, 200)
+        assert _norm(x) == float(np.linalg.norm(x))
+        assert math.sqrt(x.dot(x)) == float(np.linalg.norm(x))  # run's ‖theta‖
+        assert _mean(x) == float(np.mean(x))
+    for other in (x.astype(np.float32), list(x[:50]), x[::3], np.arange(-4, 7)):
+        assert _norm(other) == float(np.linalg.norm(other))
 
 
 class TestSummarize:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from vsgd import ConfigError, make_problem
-from vsgd.rng import make_rng
+from vsgd.problems import _sigmoid
+from vsgd.rng import make_rng, normal
 
 
 def central_diff(f, theta, h=1e-5):
@@ -63,6 +64,25 @@ class TestQuadratic:
         rng = make_rng(0)
         theta = np.array([1.0, -2.0, 3.0])
         np.testing.assert_array_equal(p.sample_grad(theta, rng), p.true_grad(theta))
+
+    @pytest.mark.parametrize("cond", [1.0, 5.0])
+    @pytest.mark.parametrize("noise", [0.0, 0.3, 1.0])
+    def test_matches_formulas_bitwise(self, cond, noise):
+        """Gradient built in the normal draw's buffer == diag*theta + noise*z."""
+        dim = 33
+        p = make_problem(f"quad:dim={dim},noise={noise},cond={cond}")
+        diag = np.geomspace(1.0, cond, dim) if cond != 1.0 else np.ones(dim)
+        theta = make_rng(1).standard_normal(dim) * 3.0
+        before = theta.copy()
+        g = p.sample_grad(theta, make_rng(2))
+        expected = diag * theta + noise * normal(make_rng(2), dim)
+        assert g.tobytes() == expected.tobytes()
+        assert not np.shares_memory(g, theta)
+        assert theta.tobytes() == before.tobytes()
+        true_grad = p.true_grad(theta)
+        assert true_grad.tobytes() == (diag * theta).tobytes()
+        assert not np.shares_memory(true_grad, theta)
+        assert p.loss(theta) == 0.5 * float(np.dot(theta, diag * theta))
 
 
 class TestRosenbrock:
@@ -138,3 +158,18 @@ class TestUnbiasedSampler:
         var = sq_total / n - mean * mean
         se = np.sqrt(var / n)
         assert np.all(np.abs(mean - p.true_grad(theta)) <= 3 * se + 1e-12)
+
+
+def test_sigmoid_matches_piecewise_form_bitwise():
+    """exp(-|z|) in one branch-free form == the masked piecewise sigmoid."""
+    rng = make_rng(3)
+    mags = 10.0 ** rng.uniform(-300, 3, 20_000)
+    edges = [0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 800.0, -800.0, 5e-324, -5e-324]
+    z = np.concatenate([mags, -mags, edges])
+    pos = z >= 0
+    piecewise = np.empty_like(z)
+    piecewise[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    piecewise[~pos] = ez / (1.0 + ez)
+    assert _sigmoid(z).tobytes() == piecewise.tobytes()
+    assert np.isnan(_sigmoid(np.array([np.nan]))).all()

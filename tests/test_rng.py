@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vsgd.rng import make_rng, normal
+from vsgd.rng import _BLOCK, make_rng, normal
 
 
 def textbook_normal(rng, size):
@@ -15,7 +15,15 @@ def textbook_normal(rng, size):
     return z[:size]
 
 
-@pytest.mark.parametrize("size", [1, 2, 9, 10, 999_999, 1_000_000])
+# pair counts at and around the Box-Muller block edges, as odd and even sizes
+BLOCK_EDGE_SIZES = [
+    size
+    for pairs in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1)
+    for size in (2 * pairs - 1, 2 * pairs)
+]
+
+
+@pytest.mark.parametrize("size", [1, 2, 9, 10, 999_999, 1_000_000, *BLOCK_EDGE_SIZES])
 def test_normal_is_textbook_box_muller_bitwise(size):
     rng, ref_rng = make_rng(5), make_rng(5)
     z = normal(rng, size)
