@@ -6,7 +6,8 @@
     vsgd verify [--suite oracle]
 
 Each ``HyperParams`` field has a flag: ``--lr`` (eta), ``--kg``, ``--kh``,
-and ``--<field>`` for the rest.  ``sweep`` runs the cross product of its
+and ``--<field>`` for the rest, whose help is the field's text in the
+``HyperParams`` docstring.  ``sweep`` runs the cross product of its
 comma lists (optimizer, every hyperparameter, seed), where optimizers without
 weight decay take only the weight-decay list's 0 entries; it writes one trace
 CSV per run plus sweep_summary.csv, whose status column reads ok, diverged
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import itertools
 import math
 import os
@@ -45,6 +47,32 @@ EXIT_CONFIG = 2
 # HyperParams field -> its flag, config key and output column (underscored);
 # three keep the spellings the CLI had before its flags were derived
 _HP_NAMES = {f.name: f.name for f in fields(HyperParams)} | {"eta": "lr", "k_g": "kg", "k_h": "kh"}
+
+
+def _field_docs(doc: str) -> dict[str, str]:
+    """Field name -> its text in a docstring's ``name: text`` list.
+
+    An entry may name several fields (``kappa1, kappa2: ...``) and run on
+    over indented lines; the text is joined into one line.
+    """
+    docs: dict[str, str] = {}
+    names: list[str] = []
+    for line in inspect.cleandoc(doc).splitlines():
+        head, sep, text = line.partition(":")
+        if sep and line[:1].isalpha() and all(n.strip().isidentifier() for n in head.split(",")):
+            names = [n.strip() for n in head.split(",")]
+            for n in names:
+                docs[n] = text.strip()
+        elif line[:1].isspace() and names:
+            for n in names:
+                docs[n] += " " + line.strip()
+        else:
+            names = []
+    return docs
+
+
+# python -OO strips the docstring: a field with no text is helped by its name
+_FIELD_DOCS = _field_docs(HyperParams.__doc__ or "")
 # a run that raised has no metrics; NaN ranks it last, as a diverged run
 _NO_METRICS = Metrics(math.nan, math.nan, math.nan)
 
@@ -101,8 +129,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         p.add_argument("--problem", default="quad")
         for name, label in _HP_NAMES.items():
             default = getattr(HyperParams, name)
+            text = _FIELD_DOCS.get(name, f"HyperParams.{name}")
             p.add_argument("--" + label.replace("_", "-"), dest=name, type=floats,
-                           default=default, help=f"HyperParams.{name} (default {default:g})")
+                           default=default, help=f"{text} (default {default:g})")
         p.add_argument("--steps", type=int, default=1000)
         p.add_argument("--seed", type=ints, default=0)
         p.add_argument("--out", default=None, help="output directory")

@@ -27,7 +27,7 @@ from . import baselines, constant, core, second_order
 from .config import HyperParams
 from .errors import ConfigError
 from .problems import Problem, make_problem
-from .rng import make_rng
+from .rng import Stream, make_rng
 
 __all__ = [
     "RunConfig",
@@ -240,12 +240,16 @@ def make_stepper(name: str, dim: int, cfg: RunConfig) -> _Stepper:
 
 
 def run(config: RunConfig, problem: Problem | None = None) -> RunResult:
-    """Execute one configured run; deterministic given (config, seed)."""
+    """Execute one configured run; deterministic given (config, seed).
+
+    The problem draws its noise through a ``rng.Stream`` over the seeded
+    generator, which serves the per-step draws from chunks, bitwise.
+    """
     if problem is None:
         problem = make_problem(config.problem)
     scale = parse_scheduler(config.scheduler)
     stepper = make_stepper(config.optimizer, problem.dim, config)
-    rng = make_rng(config.seed)
+    rng = Stream(make_rng(config.seed))
     theta = np.array(problem.theta0, dtype=np.float64)  # one copy
     initial_loss = float(problem.loss(theta))
 

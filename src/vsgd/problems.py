@@ -13,8 +13,10 @@ specified by a small string DSL so parameters fit through one CLI flag:
                                           with closed-form backprop
 
 A noisy gradient is built in the buffer of its normal draw (see
-``_sampler``), and ``quad`` with ``cond=1`` stores no diagonal, so at large
-dim a ``quad`` gradient sample allocates one dim-sized array: itself.
+``_sampler``); ``quad`` with ``cond=1`` stores no diagonal, and with
+``cond > 1`` adds ``diag * theta`` into that buffer one block at a time, so
+at large dim a ``quad`` gradient sample allocates one dim-sized array:
+itself.  The mini-batch problems gather their rows with ``take``.
 """
 from __future__ import annotations
 
@@ -24,20 +26,32 @@ from typing import Callable
 
 import numpy as np
 
+from .core import _BLOCK
 from .errors import ConfigError
-from .rng import make_rng, normal
+from .rng import Stream, make_rng, normal
 
 __all__ = ["Problem", "make_problem"]
 
 
 @dataclass
 class Problem:
+    """A test problem: its loss, true gradient and noisy gradient sampler.
+
+    ``sample_grad(theta, rng)`` takes a ``np.random.Generator`` or, under
+    ``harness.run``, a ``rng.Stream`` over the run's generator.  A stream
+    offers the ``Generator`` methods but is no ``Generator``; code that
+    needs a real one (an ``isinstance`` check, ``np.random.default_rng``,
+    a library's ``random_state``) takes ``np.random.Generator(rng.bit_generator)``,
+    which shares the stream's bit generator: reading ``bit_generator``
+    first puts it where per-step draws would have left it.
+    """
+
     name: str
     dim: int
     theta0: np.ndarray
     loss: Callable[[np.ndarray], float]
     true_grad: Callable[[np.ndarray], np.ndarray]
-    sample_grad: Callable[[np.ndarray, np.random.Generator], np.ndarray]
+    sample_grad: Callable[[np.ndarray, np.random.Generator | Stream], np.ndarray]
 
 
 def make_problem(spec: str) -> Problem:
@@ -95,8 +109,8 @@ def _make_quad(dim: int = 10, noise: float = 0.0, cond: float = 1.0) -> Problem:
         def true_grad(theta: np.ndarray) -> np.ndarray:
             return theta.copy()
 
-        def mean(theta: np.ndarray) -> np.ndarray:  # read only: no copy
-            return theta
+        def add_mean(z: np.ndarray, theta: np.ndarray) -> None:
+            z += theta
 
     else:
         diag = np.geomspace(1.0, cond, dim)
@@ -107,32 +121,41 @@ def _make_quad(dim: int = 10, noise: float = 0.0, cond: float = 1.0) -> Problem:
         def true_grad(theta: np.ndarray) -> np.ndarray:
             return diag * theta
 
-        mean = true_grad
+        def add_mean(z: np.ndarray, theta: np.ndarray) -> None:
+            prod = np.empty(min(dim, _BLOCK))  # diag*theta, one block at a time
+            for lo in range(0, dim, _BLOCK):
+                hi = min(lo + _BLOCK, dim)
+                p = prod[: hi - lo]
+                np.multiply(diag[lo:hi], theta[lo:hi], out=p)
+                z[lo:hi] += p
 
     return Problem(
-        "quad", dim, np.ones(dim), loss, true_grad, _sampler(true_grad, noise, dim, mean)
+        "quad", dim, np.ones(dim), loss, true_grad, _sampler(true_grad, noise, dim, add_mean)
     )
 
 
-def _sampler(true_grad, noise: float, dim: int, mean=None):
+def _sampler(true_grad, noise: float, dim: int, add_mean=None):
     """``sample_grad`` for ``true_grad(theta) + noise * z``, z standard normal.
 
     The gradient is built in the normal draw's buffer: ``z *= noise`` (not
-    for ``noise == 1``), then ``z += mean(theta)``, where ``mean`` (default
-    ``true_grad``) gives the true gradient's values but may return theta
-    itself.  Float ``+`` and ``*`` commute and ``1.0 * z == z``, so the bits
-    are the formula's, and the result is a fresh array that never aliases
-    theta.  With no noise it is ``true_grad(theta)``.
+    for ``noise == 1``), then ``add_mean(z, theta)`` adds the true
+    gradient's values into ``z`` in place (default ``z += true_grad(theta)``).
+    Float ``+`` and ``*`` commute and ``1.0 * z == z``, so the bits are the
+    formula's, and the result is a fresh array that never aliases theta.
+    With no noise it is ``true_grad(theta)``.
     """
     if noise == 0.0:
         return lambda theta, rng: true_grad(theta)
-    mean = mean or true_grad
+    if add_mean is None:
 
-    def sample_grad(theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        def add_mean(z: np.ndarray, theta: np.ndarray) -> None:
+            z += true_grad(theta)
+
+    def sample_grad(theta: np.ndarray, rng: np.random.Generator | Stream) -> np.ndarray:
         z = normal(rng, dim)
         if noise != 1.0:
             z *= noise
-        z += mean(theta)
+        add_mean(z, theta)
         return z
 
     return sample_grad
@@ -185,10 +208,10 @@ def _make_logreg(
     def true_grad(theta: np.ndarray) -> np.ndarray:
         return X.T @ (_sigmoid(X @ theta) - y) / n
 
-    def sample_grad(theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def sample_grad(theta: np.ndarray, rng: np.random.Generator | Stream) -> np.ndarray:
         idx = rng.integers(0, n, size=batch)
-        Xb = X[idx]
-        return Xb.T @ (_sigmoid(Xb @ theta) - y[idx]) / batch
+        Xb = X.take(idx, axis=0)
+        return Xb.T @ (_sigmoid(Xb @ theta) - y.take(idx)) / batch
 
     return Problem("logreg", d, np.zeros(d), loss, true_grad, sample_grad)
 
@@ -237,9 +260,9 @@ def _make_mlp(
     def true_grad(theta: np.ndarray) -> np.ndarray:
         return _grad_on(theta, X, Y)
 
-    def sample_grad(theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def sample_grad(theta: np.ndarray, rng: np.random.Generator | Stream) -> np.ndarray:
         idx = rng.integers(0, n, size=batch)
-        return _grad_on(theta, X[idx], Y[idx])
+        return _grad_on(theta, X.take(idx, axis=0), Y.take(idx, axis=0))
 
     init_rng = make_rng(seed + 1)
     theta0 = 0.5 * normal(init_rng, dim)

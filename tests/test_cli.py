@@ -112,6 +112,25 @@ class TestParseArgs:
         (rc,) = parse_args(["run", "--config", str(cf), *out]).run_configs
         assert getattr(rc.hp, name) == value
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_help_gives_each_hyperparameter_its_docstring_text(self, command, capsys):
+        assert exit_code([command, "--help"]) == 0
+        flat = "".join(capsys.readouterr().out.split())  # argparse wraps lines
+        assert "".join("prior strength".split()) in flat
+        for f in dataclasses.fields(HyperParams):
+            text = vsgd.cli._FIELD_DOCS[f.name]
+            assert text and "".join(f"{text} (default {f.default:g})".split()) in flat
+
+    def test_help_without_docstring_text_names_the_field(self, monkeypatch, capsys):
+        """Under ``python -OO`` the ``HyperParams`` docstring is gone: the
+        help falls back to the field's name instead of failing."""
+        assert vsgd.cli._field_docs("HyperParams(eta: float = 0.01, gamma: float = 0.1)") == {}
+        monkeypatch.setattr(vsgd.cli, "_FIELD_DOCS", {})
+        assert exit_code(["run", "--help"]) == 0
+        flat = "".join(capsys.readouterr().out.split())
+        for f in dataclasses.fields(HyperParams):
+            assert f"HyperParams.{f.name}(default{f.default:g})" in flat
+
     def test_sweep_builds_cross_product(self, tmp_path):
         cfg = parse_args(
             [

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from vsgd import ConfigError, HyperParams, NumericError, RunConfig, run, summarize
+from vsgd import harness as harness_module
 from vsgd.harness import (
     DIVERGENCE_LIMIT,
     OPTIMIZER_NAMES,
@@ -17,7 +18,7 @@ from vsgd.harness import (
     parse_scheduler,
 )
 from vsgd.problems import Problem, make_problem
-from vsgd.rng import make_rng
+from vsgd.rng import make_rng, normal
 
 
 def cfg(**kw):
@@ -254,6 +255,79 @@ class TestRun:
             tracemalloc.stop()
         # 5 state arrays, theta, and the gradient or the sigma2 summary
         assert peak <= 7 * array_bytes + 2_000_000, peak / array_bytes
+
+    def test_conditioned_quad_sample_makes_no_product_temporary(self):
+        """``quad`` with ``cond > 1`` adds ``diag * theta`` into the normal
+        draw block by block: its run peaks where the ``cond=1`` run does."""
+        dim = 200_000
+        run(cfg(problem="quad:dim=10,cond=100,noise=1", steps=2))  # lazy imports
+
+        def peak(spec):
+            problem = make_problem(spec)
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                run(cfg(problem="quad", steps=5, record_stride=1), problem)
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        conditioned = peak(f"quad:dim={dim},cond=100,noise=1")
+        plain = peak(f"quad:dim={dim},noise=1")
+        assert conditioned <= plain + 1_000_000, (conditioned - plain) / (8 * dim)
+
+
+# problems whose draws a Stream serves from chunks: normals of an even and an
+# odd size (with a diagonal and a noise scale), and index batches
+STREAM_PROBLEMS = [
+    "quad:dim=10,noise=1",
+    "quad:dim=11,cond=5,noise=0.3",
+    "rosenbrock:dim=4,noise=0.1",
+    "logreg:n=50,d=5,batch=1",
+    "mlp",
+]
+
+
+@pytest.mark.parametrize("spec", STREAM_PROBLEMS)
+@pytest.mark.parametrize("name", sorted(OPTIMIZER_NAMES))
+def test_run_through_a_stream_is_the_run_on_a_plain_generator(name, spec, monkeypatch):
+    """``run`` draws through a chunking ``Stream``; a run handed the plain
+    generator, drawing per step, gives bitwise the same result."""
+    config = cfg(optimizer=name, problem=spec, steps=300, scheduler="halve:50")
+    problem = make_problem(spec)
+    streamed = run(config, problem)
+    monkeypatch.setattr(harness_module, "Stream", lambda gen: gen)
+    plain = run(config, problem)
+    key = lambda r: (
+        [tuple(map(repr, dataclasses.astuple(tr))) for tr in r.traces],
+        r.diverged, r.steps_run, repr(r.initial_loss),
+    )
+    assert key(streamed) == key(plain)
+
+
+def test_custom_sample_grad_gets_a_generator_from_the_stream(monkeypatch):
+    """A ``sample_grad`` that needs a real ``Generator`` builds one on the
+    stream's bit generator; mixed with chunked draws, the run is bitwise the
+    run handed the plain generator."""
+    dim, calls = 6, [0]
+
+    def sample_grad(theta, rng):
+        z = normal(rng, dim)  # chunked under a stream
+        calls[0] += 1
+        if calls[0] % 6 == 0:  # the third row of a 4-step chunk
+            gen = np.random.Generator(rng.bit_generator)  # rewinds the stream first
+            assert isinstance(gen, np.random.Generator)
+            z += 0.1 * gen.standard_normal(dim)
+        return z + theta
+
+    problem = Problem("custom", dim, np.ones(dim), lambda t: float(t @ t), lambda t: 2 * t,
+                      sample_grad)
+    config = cfg(optimizer="vsgd", problem="quad", steps=50)
+    streamed = run(config, problem)
+    monkeypatch.setattr(harness_module, "Stream", lambda gen: gen)
+    calls[0] = 0
+    plain = run(config, problem)
+    assert streamed.traces == plain.traces
 
 
 @np.errstate(over="ignore")  # magnitudes near 1e200 overflow the sum of squares
