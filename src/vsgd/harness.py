@@ -13,12 +13,23 @@ check fails: ``‖theta‖`` past the limit, or a loss that is non-finite or
 past the limit in magnitude.  The loss check therefore only sees record
 points, so at ``record_stride > 1`` a run whose loss blows up before its
 ``‖theta‖`` does is flagged at a later step than at stride 1.
+
+Traces: ``run`` writes each record point into columns that grow with the
+rows (int64 ``t``, float64 ``loss``, ``grad_norm``, ``theta_norm`` and one
+float64 column per state summary the optimizer has), and returns them as a
+``Trace``, a read-only sequence of ``StepTrace`` built on access.  A record
+point costs 8 bytes per column: 56 B for vsgd and so-vsgd, 48 B for
+constant-vsgd and 32 B for the baselines.  ``summarize`` and
+``traceio.write_csv`` take a ``Trace`` or any list of ``StepTrace``.
 """
 from __future__ import annotations
 
 import math
+import operator
 import time
-from dataclasses import dataclass, field, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields, replace
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -32,6 +43,7 @@ from .rng import Stream, make_rng
 __all__ = [
     "RunConfig",
     "StepTrace",
+    "Trace",
     "RunResult",
     "Metrics",
     "OPTIMIZER_NAMES",
@@ -93,10 +105,110 @@ class StepTrace:
     mean_sigma2: float | None = None
 
 
+_FLOAT_FIELDS = tuple(f.name for f in fields(StepTrace)[1:])
+_ITER_ROWS = 1024  # rows turned into Python numbers at a time when iterating
+
+
+class Trace(Sequence):
+    """A run's recorded steps as columns: a read-only sequence of StepTrace.
+
+    ``t`` is an int64 column; ``loss``, ``grad_norm``, ``theta_norm`` and
+    each state summary the optimizer has are the float64 rows of one
+    ``(k, n)`` array.  A summary the optimizer lacks has no column and reads
+    None.  Each item is a new StepTrace built from Python ints and floats
+    equal to the recorded values, so mutating it leaves the trace unchanged.
+    A slice is a Trace with its own copy of the rows: it keeps none of the
+    original's memory alive.  A Trace equals any sequence of equal
+    StepTraces, a list included.
+    """
+
+    __slots__ = ("_t", "_values", "_names", "_row_of")
+
+    def __init__(self, t: np.ndarray, values: np.ndarray, names: tuple[str, ...]):
+        """``t`` is (n,) int64 and ``values`` (len(names), n) float64, holding
+        the float StepTrace fields ``names`` in field order; both become
+        read-only."""
+        t.flags.writeable = values.flags.writeable = False
+        self._t, self._values, self._names = t, values, names
+        # per float field, its row of values or None
+        self._row_of = tuple(names.index(f) if f in names else None for f in _FLOAT_FIELDS)
+
+    def __len__(self) -> int:
+        return len(self._t)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Trace(self._t[i].copy(), self._values[:, i].copy(), self._names)
+        t = int(self._t[i])  # numpy's negative indexing and IndexError
+        values = self._values[:, i].tolist()
+        return StepTrace(t, *[None if r is None else values[r] for r in self._row_of])
+
+    def __iter__(self):
+        for lo in range(0, len(self._t), _ITER_ROWS):
+            hi = lo + _ITER_ROWS
+            values = self._values[:, lo:hi].tolist()
+            yield from map(
+                StepTrace,
+                self._t[lo:hi].tolist(),
+                *[repeat(None) if r is None else values[r] for r in self._row_of],
+            )
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"Trace({list(self)!r})"
+
+    def column(self, name: str) -> np.ndarray | None:
+        """StepTrace field ``name``'s read-only column; None for a summary
+        the optimizer lacks."""
+        if name == "t":
+            return self._t
+        r = self._row_of[_FLOAT_FIELDS.index(name)]
+        return None if r is None else self._values[r]
+
+
+class _Columns:
+    """The growing columns a run records into; ``trace`` trims them to a Trace.
+
+    Capacity starts small and doubles when full, so nothing is allocated
+    ahead from the step budget, which a diverging run never reaches.
+    """
+
+    def __init__(self, names: tuple[str, ...]):
+        self.names = names
+        self.n = 0
+        self.t = np.empty(64, dtype=np.int64)
+        self.values = np.empty((len(names), 64))
+
+    def append(self, t: int, values: tuple[float, ...]) -> None:
+        n = self.n
+        if n == len(self.t):
+            self.t = _widened(self.t, 2 * n)
+            self.values = _widened(self.values, 2 * n)
+        self.t[n] = t
+        self.values[:, n] = values
+        self.n = n + 1
+
+    def trace(self) -> Trace:
+        n = self.n
+        return Trace(self.t[:n].copy(), self.values[:, :n].copy(), self.names)
+
+
+def _widened(a: np.ndarray, size: int) -> np.ndarray:
+    out = np.empty((*a.shape[:-1], size), dtype=a.dtype)
+    out[..., : a.shape[-1]] = a
+    return out
+
+
 @dataclass
 class RunResult:
+    """One run's outcome; ``run`` gives ``traces`` as a Trace."""
+
     config: RunConfig
-    traces: list[StepTrace]
+    traces: Sequence[StepTrace]
     diverged: bool
     steps_run: int
     initial_loss: float
@@ -147,90 +259,131 @@ def _norm(x) -> float:
     return float(np.linalg.norm(x))
 
 
-def _rate_summaries(state, params):
-    return _mean(state.b_g), _mean(state.b_ghat), _mean(core.state_sigma2(state))
+def _means(rows: np.ndarray) -> list[float]:
+    """``_mean`` of each row of a (k, dim) array, bitwise, in one reduction."""
+    size = rows.shape[1]
+    return [s / size for s in np.add.reduce(rows, axis=1).tolist()]
 
 
-# name -> (params from the config's hp, init(dim, hp), step, summaries or None).
-# step(state, theta, g_hat, params) returns theta; summaries(state, params)
-# returns (mean_b_g, mean_b_ghat, mean_sigma2), None where there is no such
-# latent.  Step functions are looked up on their modules at call time, so a
-# patched module attribute (a tracer, a test double) is the one called.
+def _rate_summaries(state, params, rows):
+    """Mean b_g, b_ghat and sigma2 of a VSGD or second-order state."""
+    if rows is None:  # above one block: sigma2 is the one dim-sized buffer
+        return _mean(state.b_g), _mean(state.b_ghat), _mean(core.state_sigma2(state))
+    b_g, b_ghat, sigma2 = rows
+    # core.state_sigma2's b_g*b_ghat / (a*(b_g + b_ghat)), bitwise, with the
+    # denominator made in the b_g row before b_g is copied in
+    np.add(state.b_g, state.b_ghat, out=b_g)
+    b_g *= state.a
+    np.multiply(state.b_g, state.b_ghat, out=sigma2)
+    sigma2 /= b_g
+    b_g[...] = state.b_g
+    b_ghat[...] = state.b_ghat
+    return _means(rows)
+
+
+def _constant_summaries(state, params, rows):
+    """Mean b_ghat and sigma2 of a Constant VSGD state."""
+    if rows is None:
+        return _mean(state.b_ghat), _mean(constant.state_sigma2(state, params))
+    b_ghat, sigma2 = rows
+    b_ghat[...] = state.b_ghat
+    constant.state_sigma2(state, params, out=sigma2)
+    return _means(rows)
+
+
+_RATES = ("mean_b_g", "mean_b_ghat", "mean_sigma2")
+
+# name -> (params from the config's hp, init(dim, hp), step, summary fields,
+# summaries or None).  step(state, theta, g_hat, params) returns theta;
+# summaries(state, params, rows) returns the means named by the summary
+# fields, reducing them in ``rows``, a (fields, dim) buffer, or one array at a
+# time when ``rows`` is None.  Step functions are looked up on their modules
+# at call time, so a patched module attribute (a tracer, a test double) is
+# the one called.
 _OPTIMIZERS = {
     "vsgd": (
         lambda hp: hp,
         core.init_state,
         lambda state, theta, g_hat, p: core.vsgd_step(state, theta, g_hat, p)[1],
+        _RATES,
         _rate_summaries,
     ),
     "constant-vsgd": (
         lambda hp: hp,
         constant.init_constant_state,
         lambda state, theta, g_hat, p: constant.cvsgd_step(state, theta, g_hat, p)[1],
-        lambda state, p: (
-            None, _mean(state.b_ghat), _mean(constant.state_sigma2(state, p))
-        ),
+        _RATES[1:],
+        _constant_summaries,
     ),
     "so-vsgd": (
         lambda hp: hp,
         second_order.init_so_state,
         lambda state, theta, g_hat, p: second_order.so_vsgd_step(state, theta, g_hat, p)[1],
+        _RATES,
         _rate_summaries,
     ),
     "adam": (
         lambda hp: baselines.AdamParams(eta=hp.eta),
         lambda dim, hp: baselines.init_adam_state(dim),
         lambda state, theta, g_hat, p: baselines.adam_step(state, theta, g_hat, p)[1],
+        (),
         None,
     ),
     "amsgrad": (
         lambda hp: baselines.AdamParams(eta=hp.eta),
         lambda dim, hp: baselines.init_adam_state(dim, amsgrad=True),
         lambda state, theta, g_hat, p: baselines.amsgrad_step(state, theta, g_hat, p)[1],
+        (),
         None,
     ),
     "sgd": (
         lambda hp: hp,
         lambda dim, hp: None,
         lambda state, theta, g_hat, p: baselines.sgd_step(theta, g_hat, p.eta),
+        (),
         None,
     ),
     "sgdm": (
         lambda hp: baselines.SgdmParams(eta=hp.eta),
         lambda dim, hp: baselines.init_momentum_state(dim),
         lambda state, theta, g_hat, p: baselines.sgdm_step(state, theta, g_hat, p)[1],
+        (),
         None,
     ),
     "nsgd": (
         lambda hp: hp,
         lambda dim, hp: None,
         lambda state, theta, g_hat, p: baselines.normalized_sgd_step(theta, g_hat, p.eta),
+        (),
         None,
     ),
 }
 OPTIMIZER_NAMES = frozenset(_OPTIMIZERS)
 WEIGHT_DECAY_OPTIMIZERS = frozenset({"vsgd"})
-_NO_SUMMARIES = (None, None, None)
 
 
 class _Stepper:
     """One optimizer's params and state over a run; ``step`` advances theta."""
 
     def __init__(self, name: str, dim: int, hp: HyperParams):
-        make_params, init, self._step, self._summaries = _OPTIMIZERS[name]
+        make_params, init, self._step, self.summary_fields, self._summaries = _OPTIMIZERS[name]
         self.params = make_params(hp)
         self.state = init(dim, hp)
+        # the summaries' one reduction buffer, while dim fits in one block
+        self._rows = None
+        if self.summary_fields and dim <= core._BLOCK:
+            self._rows = np.empty((len(self.summary_fields), dim))
 
     def step(self, theta, g_hat, eta):
         if eta != self.params.eta:  # the scheduler moved eta
             self.params = replace(self.params, eta=eta)
         return self._step(self.state, theta, g_hat, self.params)
 
-    def summaries(self):
-        """(mean_b_g, mean_b_ghat, mean_sigma2) of the current state."""
+    def summaries(self) -> Sequence[float]:
+        """The current state's means named by ``summary_fields``."""
         if self._summaries is None:
-            return _NO_SUMMARIES
-        return self._summaries(self.state, self.params)
+            return ()
+        return self._summaries(self.state, self.params, self._rows)
 
 
 def make_stepper(name: str, dim: int, cfg: RunConfig) -> _Stepper:
@@ -253,7 +406,7 @@ def run(config: RunConfig, problem: Problem | None = None) -> RunResult:
     theta = np.array(problem.theta0, dtype=np.float64)  # one copy
     initial_loss = float(problem.loss(theta))
 
-    traces: list[StepTrace] = []
+    columns = _Columns(("loss", "grad_norm", "theta_norm", *stepper.summary_fields))
     diverged = False
     steps_run = 0
     start = time.perf_counter()
@@ -268,17 +421,15 @@ def run(config: RunConfig, problem: Problem | None = None) -> RunResult:
         g_hat = None  # freed before the loss, the summaries and the next draw
         if record:
             loss = float(problem.loss(theta))
-            bad = bad or not np.isfinite(loss) or abs(loss) > DIVERGENCE_LIMIT
-            traces.append(
-                StepTrace(t, loss, grad_norm, theta_norm, *stepper.summaries())
-            )
+            bad = bad or not math.isfinite(loss) or abs(loss) > DIVERGENCE_LIMIT
+            columns.append(t, (loss, grad_norm, theta_norm, *stepper.summaries()))
         if bad:
             diverged = True
             break
     wallclock = time.perf_counter() - start
     return RunResult(
         config=config,
-        traces=traces,
+        traces=columns.trace(),
         diverged=diverged,
         steps_run=steps_run,
         initial_loss=initial_loss,
@@ -287,10 +438,17 @@ def run(config: RunConfig, problem: Problem | None = None) -> RunResult:
 
 
 def summarize(result: RunResult) -> Metrics:
-    """Scalar metrics of a run; pure aggregation over the recorded traces."""
-    if not result.traces:
+    """Scalar metrics of a run; pure aggregation over the recorded traces.
+
+    ``result.traces`` is a Trace or any sequence of StepTrace.
+    """
+    traces = result.traces
+    if not traces:
         raise ValueError("cannot summarize a run with no recorded traces")
-    losses = [tr.loss for tr in result.traces]
+    if isinstance(traces, Trace):
+        losses = traces.column("loss").tolist()
+    else:
+        losses = [tr.loss for tr in traces]
     return Metrics(
         final_loss=losses[-1],
         best_loss=min(losses),

@@ -5,24 +5,31 @@ field order.  Columns an optimizer has no state for are left empty, so
 files from different optimizers stay column-compatible.  Floats are
 serialized as shortest round-trip decimals (repr of a 64-bit float), so
 re-parsing an emitted file reproduces the values bitwise.
+
+``write_csv`` takes a ``harness.Trace``, whose columns it formats one at a
+time from their arrays, or a list of ``StepTrace``, formatted cell by cell;
+both give the same bytes.  Either is written in chunks of ``_CHUNK_ROWS``
+rows, so writing never holds the whole file as one string.
 """
 from __future__ import annotations
 
 import operator
 import typing
 from dataclasses import fields
+from itertools import islice, repeat
 
-from .harness import StepTrace
+from .harness import StepTrace, Trace
 
 __all__ = ["CSV_HEADER", "write_csv", "read_csv"]
 
 _FIELDS = fields(StepTrace)
 _INT_FIELDS = {name for name, hint in typing.get_type_hints(StepTrace).items() if hint is int}
 CSV_HEADER = ",".join(f.name for f in _FIELDS)
+_CHUNK_ROWS = 1024
 
 
 def _column(f, traces: list[StepTrace]):
-    """One field's cells over all traces, formatted by the field's type.
+    """One field's cells over a chunk of traces, formatted by the field's type.
 
     ``map`` over builtins formats a column with no Python call per cell.
     """
@@ -44,14 +51,36 @@ _PARSERS = tuple(
 )
 
 
-def write_csv(traces: list[StepTrace], path) -> None:
+def _list_chunks(traces):
+    """Row chunks of a sequence of StepTrace, each cell read from its trace."""
+    it = iter(traces)
+    while chunk := list(islice(it, _CHUNK_ROWS)):
+        yield map(",".join, zip(*[_column(f, chunk) for f in _FIELDS]))
+
+
+def _trace_chunks(trace: Trace):
+    """Row chunks of a Trace, each column formatted from a slice of its array."""
+    columns = [trace.column(f.name) for f in _FIELDS]
+    for lo in range(0, len(trace), _CHUNK_ROWS):
+        hi = lo + _CHUNK_ROWS
+        cells = [
+            repeat("") if col is None  # a summary the optimizer lacks
+            else map(str if f.name in _INT_FIELDS else repr, col[lo:hi].tolist())
+            for f, col in zip(_FIELDS, columns)
+        ]
+        yield map(",".join, zip(*cells))
+
+
+def write_csv(traces: Trace | list[StepTrace], path) -> None:
     """Write traces as UTF-8 CSV with LF line endings; traces must be nonempty."""
     if not traces:
         raise ValueError("refusing to write an empty trace list")
-    rows = map(",".join, zip(*[_column(f, traces) for f in _FIELDS]))
-    lines = [CSV_HEADER, *rows, ""]  # the empty last line ends the file with LF
+    chunks = _trace_chunks(traces) if isinstance(traces, Trace) else _list_chunks(traces)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines))
+        fh.write(CSV_HEADER + "\n")
+        for rows in chunks:
+            fh.write("\n".join(rows))
+            fh.write("\n")
 
 
 def read_csv(path) -> list[StepTrace]:

@@ -415,8 +415,10 @@ class TestSweepCommand:
     def test_ranking_puts_non_finite_means_last(self, tmp_path, capsys, monkeypatch):
         def run_with_nan_adam(rc):
             result = harness.run(rc)
-            if rc.optimizer == "adam":
-                result.traces[-1].loss = float("nan")
+            if rc.optimizer == "adam":  # a result whose trace ends in a NaN loss
+                traces = list(result.traces)
+                traces[-1] = dataclasses.replace(traces[-1], loss=float("nan"))
+                result = dataclasses.replace(result, traces=traces)
             return result
 
         monkeypatch.setattr(vsgd.cli, "run", run_with_nan_adam)

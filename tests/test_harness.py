@@ -12,7 +12,9 @@ from vsgd.harness import (
     DIVERGENCE_LIMIT,
     OPTIMIZER_NAMES,
     RunResult,
+    Trace,
     _mean,
+    _means,
     _norm,
     make_stepper,
     parse_scheduler,
@@ -341,6 +343,105 @@ def test_norm_and_mean_match_numpy_bitwise():
         assert _mean(x) == float(np.mean(x))
     for other in (x.astype(np.float32), list(x[:50]), x[::3], np.arange(-4, 7)):
         assert _norm(other) == float(np.linalg.norm(other))
+
+
+def test_stacked_means_match_per_array_means_bitwise():
+    """One reduction over a (k, dim) stack sums each row as ``_mean`` does,
+    across numpy's pairwise-summation and buffer boundaries."""
+    rng = make_rng(5)
+    for dim in [*range(1, 140), 255, 256, 257, 8191, 8192, 8193, 16384]:
+        for k in (2, 3):
+            rows = 10.0 ** rng.uniform(-8, 8, (k, dim))
+            assert _means(rows) == [_mean(row) for row in rows], dim
+
+
+@pytest.mark.parametrize("name", ["vsgd", "constant-vsgd", "so-vsgd"])
+def test_stacked_summaries_match_per_array_summaries_bitwise(name):
+    """Up to one block the summaries are one reduction over a stacked
+    buffer; above it, one array at a time.  Both give the same bits."""
+    rng = make_rng(7)
+    for dim in (1, 10, 139, 257, 8193, 16384):
+        stepper = make_stepper(name, dim, cfg(optimizer=name))
+        for rate in ("b_g", "b_ghat"):
+            if hasattr(stepper.state, rate):
+                getattr(stepper.state, rate)[:] = 10.0 ** rng.uniform(-8, 8, dim)
+        stacked = stepper.summaries()
+        assert len(stacked) == len(stepper.summary_fields)
+        stepper._rows = None
+        assert list(stacked) == list(stepper.summaries())
+
+
+class TestTrace:
+    def test_sequence_of_step_traces(self):
+        trace = run(cfg(steps=30)).traces
+        rows = list(trace)
+        assert isinstance(trace, Trace) and len(trace) == len(rows) == 30
+        assert [tr.t for tr in trace] == list(range(1, 31))
+        assert trace[-1] == rows[-1] and trace[-30] == rows[0] and trace[12] == rows[12]
+        for bad in (30, -31):
+            with pytest.raises(IndexError):
+                trace[bad]
+        assert trace == rows and rows == trace and trace == tuple(rows)
+        assert trace != rows[:-1] and trace != rows[::-1]
+        assert trace[10:20] == rows[10:20] and trace[::7] == rows[::7]
+        assert list(reversed(trace)) == rows[::-1]
+
+    def test_iteration_crosses_chunks_in_order(self):
+        trace = run(cfg(optimizer="sgd", steps=2500)).traces
+        assert list(trace) == [trace[i] for i in range(len(trace))]
+        assert [tr.t for tr in trace] == list(range(1, 2501))
+
+    @pytest.mark.parametrize("name", sorted(OPTIMIZER_NAMES))
+    def test_items_are_python_numbers(self, name):
+        tr = run(cfg(optimizer=name, steps=5)).traces[-1]
+        assert type(tr.t) is int
+        values = dataclasses.astuple(tr)[1:]
+        assert all(type(v) is float for v in values[:3])
+        assert all(v is None or type(v) is float for v in values[3:])
+
+    def test_missing_summaries_have_no_column(self):
+        constant = run(cfg(optimizer="constant-vsgd", steps=5)).traces
+        assert constant.column("mean_b_g") is None
+        assert constant.column("mean_b_ghat") is not None
+        sgd = run(cfg(optimizer="sgd", steps=5)).traces
+        assert all(sgd.column(name) is None
+                   for name in ("mean_b_g", "mean_b_ghat", "mean_sigma2"))
+        assert sgd.column("t").tolist() == [1, 2, 3, 4, 5]
+
+    def test_slice_copies_its_rows(self):
+        """A kept tail must not pin the whole run's columns."""
+        trace = run(cfg(steps=300)).traces
+        tail = trace[-100:]
+        assert tail._t.flags.owndata and tail._values.flags.owndata
+        assert tail._values.shape == (6, 100)
+        assert not np.shares_memory(tail._values, trace._values)
+        assert tail == list(trace)[-100:]
+
+    def test_items_are_copies_and_columns_read_only(self):
+        trace = run(cfg(steps=10)).traces
+        item = trace[-1]
+        before = dataclasses.astuple(item)
+        item.t, item.loss, item.mean_b_g = -1, float("nan"), None
+        assert dataclasses.astuple(trace[-1]) == before
+        with pytest.raises(ValueError):
+            trace.column("loss")[0] = 0.0
+
+    def test_record_point_costs_columns_not_objects(self):
+        """A stride-1 vsgd run keeps 7 columns of 8 bytes per record point
+        (56 B); StepTrace objects in a list took about 320 B."""
+        steps = 20_000
+        problem = make_problem("quad:dim=10,noise=1.0")
+        config = cfg(problem="quad", steps=steps)
+        run(cfg(steps=2))  # lazy imports
+        tracemalloc.start()
+        try:
+            result = run(config, problem)
+            held = tracemalloc.get_traced_memory()[0]
+            result.traces = None
+            per_point = (held - tracemalloc.get_traced_memory()[0]) / steps
+        finally:
+            tracemalloc.stop()
+        assert per_point <= 80, per_point
 
 
 class TestSummarize:

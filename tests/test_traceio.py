@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import pytest
 
+from vsgd import HyperParams, RunConfig, run
 from vsgd.harness import StepTrace
 from vsgd.traceio import CSV_HEADER, read_csv, write_csv
 
@@ -72,3 +74,24 @@ def test_read_rejects_foreign_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n", encoding="utf-8")
     with pytest.raises(ValueError):
         read_csv(path)
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "constant-vsgd", "vsgd"])
+def test_trace_writes_the_bytes_of_its_list(tmp_path, optimizer):
+    """A Trace is formatted a column at a time, a list cell by cell, both in
+    row chunks; the bytes are those of the whole file joined at once."""
+    config = RunConfig(optimizer=optimizer, problem="quad:dim=3,noise=1.0",
+                       steps=2500, seed=4, hp=HyperParams(eta=0.01))
+    trace = run(config).traces
+    rows = list(trace)
+    write_csv(trace, tmp_path / "trace.csv")
+    write_csv(rows, tmp_path / "list.csv")
+    expected = "\n".join([
+        CSV_HEADER,
+        *(",".join("" if v is None else repr(v) for v in dataclasses.astuple(tr))
+          for tr in rows),
+        "",
+    ])
+    data = (tmp_path / "trace.csv").read_bytes()
+    assert data == (tmp_path / "list.csv").read_bytes() == expected.encode("utf-8")
+    assert read_csv(tmp_path / "trace.csv") == rows
