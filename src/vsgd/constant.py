@@ -140,16 +140,14 @@ def _cvsgd_block(work, arrays, g_hat, scalars):
     theta -= mu_new
 
 
-def state_sigma2(
-    state: ConstantVsgdState, hp: HyperParams, out: np.ndarray | None = None
-) -> np.ndarray:
+def state_sigma2(state: ConstantVsgdState, hp: HyperParams) -> np.ndarray:
     """Posterior gradient variance (1/(k_g+1)) * b_ghat/a_ghat of the state.
 
     Written as (b_ghat/a_ghat)/(k_g+1), not cvsgd_local's w_obs*(b_ghat/a_ghat),
     which differs in the last bit on some elements; the recorded traces keep
-    this form.  ``out``, a (dim,) array, receives the result if given.
+    this form.
     """
-    sigma2 = np.divide(state.b_ghat, state.a_ghat, out)
+    sigma2 = state.b_ghat / state.a_ghat
     sigma2 /= hp.k_g + 1.0
     return sigma2
 

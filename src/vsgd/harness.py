@@ -161,14 +161,6 @@ class Trace(Sequence):
     def __repr__(self) -> str:
         return f"Trace({list(self)!r})"
 
-    def column(self, name: str) -> np.ndarray | None:
-        """StepTrace field ``name``'s read-only column; None for a summary
-        the optimizer lacks."""
-        if name == "t":
-            return self._t
-        r = self._row_of[_FLOAT_FIELDS.index(name)]
-        return None if r is None else self._values[r]
-
 
 class _Columns:
     """The growing columns a run records into; ``trace`` trims them to a Trace.
@@ -259,47 +251,23 @@ def _norm(x) -> float:
     return float(np.linalg.norm(x))
 
 
-def _means(rows: np.ndarray) -> list[float]:
-    """``_mean`` of each row of a (k, dim) array, bitwise, in one reduction."""
-    size = rows.shape[1]
-    return [s / size for s in np.add.reduce(rows, axis=1).tolist()]
-
-
-def _rate_summaries(state, params, rows):
+def _rate_summaries(state, params):
     """Mean b_g, b_ghat and sigma2 of a VSGD or second-order state."""
-    if rows is None:  # above one block: sigma2 is the one dim-sized buffer
-        return _mean(state.b_g), _mean(state.b_ghat), _mean(core.state_sigma2(state))
-    b_g, b_ghat, sigma2 = rows
-    # core.state_sigma2's b_g*b_ghat / (a*(b_g + b_ghat)), bitwise, with the
-    # denominator made in the b_g row before b_g is copied in
-    np.add(state.b_g, state.b_ghat, out=b_g)
-    b_g *= state.a
-    np.multiply(state.b_g, state.b_ghat, out=sigma2)
-    sigma2 /= b_g
-    b_g[...] = state.b_g
-    b_ghat[...] = state.b_ghat
-    return _means(rows)
+    return _mean(state.b_g), _mean(state.b_ghat), _mean(core.state_sigma2(state))
 
 
-def _constant_summaries(state, params, rows):
+def _constant_summaries(state, params):
     """Mean b_ghat and sigma2 of a Constant VSGD state."""
-    if rows is None:
-        return _mean(state.b_ghat), _mean(constant.state_sigma2(state, params))
-    b_ghat, sigma2 = rows
-    b_ghat[...] = state.b_ghat
-    constant.state_sigma2(state, params, out=sigma2)
-    return _means(rows)
+    return _mean(state.b_ghat), _mean(constant.state_sigma2(state, params))
 
 
 _RATES = ("mean_b_g", "mean_b_ghat", "mean_sigma2")
 
 # name -> (params from the config's hp, init(dim, hp), step, summary fields,
 # summaries or None).  step(state, theta, g_hat, params) returns theta;
-# summaries(state, params, rows) returns the means named by the summary
-# fields, reducing them in ``rows``, a (fields, dim) buffer, or one array at a
-# time when ``rows`` is None.  Step functions are looked up on their modules
-# at call time, so a patched module attribute (a tracer, a test double) is
-# the one called.
+# summaries(state, params) returns the means named by the summary fields.
+# Step functions are looked up on their modules at call time, so a patched
+# module attribute (a tracer, a test double) is the one called.
 _OPTIMIZERS = {
     "vsgd": (
         lambda hp: hp,
@@ -369,10 +337,6 @@ class _Stepper:
         make_params, init, self._step, self.summary_fields, self._summaries = _OPTIMIZERS[name]
         self.params = make_params(hp)
         self.state = init(dim, hp)
-        # the summaries' one reduction buffer, while dim fits in one block
-        self._rows = None
-        if self.summary_fields and dim <= core._BLOCK:
-            self._rows = np.empty((len(self.summary_fields), dim))
 
     def step(self, theta, g_hat, eta):
         if eta != self.params.eta:  # the scheduler moved eta
@@ -383,7 +347,7 @@ class _Stepper:
         """The current state's means named by ``summary_fields``."""
         if self._summaries is None:
             return ()
-        return self._summaries(self.state, self.params, self._rows)
+        return self._summaries(self.state, self.params)
 
 
 def make_stepper(name: str, dim: int, cfg: RunConfig) -> _Stepper:
@@ -445,10 +409,7 @@ def summarize(result: RunResult) -> Metrics:
     traces = result.traces
     if not traces:
         raise ValueError("cannot summarize a run with no recorded traces")
-    if isinstance(traces, Trace):
-        losses = traces.column("loss").tolist()
-    else:
-        losses = [tr.loss for tr in traces]
+    losses = [tr.loss for tr in traces]
     return Metrics(
         final_loss=losses[-1],
         best_loss=min(losses),

@@ -6,19 +6,19 @@ files from different optimizers stay column-compatible.  Floats are
 serialized as shortest round-trip decimals (repr of a 64-bit float), so
 re-parsing an emitted file reproduces the values bitwise.
 
-``write_csv`` takes a ``harness.Trace``, whose columns it formats one at a
-time from their arrays, or a list of ``StepTrace``, formatted cell by cell;
-both give the same bytes.  Either is written in chunks of ``_CHUNK_ROWS``
-rows, so writing never holds the whole file as one string.
+``write_csv`` takes any sequence of ``StepTrace`` (a ``harness.Trace`` or a
+list) and formats it in chunks of ``_CHUNK_ROWS`` rows, so writing never
+holds the whole file as one string.
 """
 from __future__ import annotations
 
 import operator
 import typing
+from collections.abc import Sequence
 from dataclasses import fields
-from itertools import islice, repeat
+from itertools import islice
 
-from .harness import StepTrace, Trace
+from .harness import StepTrace
 
 __all__ = ["CSV_HEADER", "write_csv", "read_csv"]
 
@@ -51,34 +51,20 @@ _PARSERS = tuple(
 )
 
 
-def _list_chunks(traces):
+def _chunks(traces):
     """Row chunks of a sequence of StepTrace, each cell read from its trace."""
     it = iter(traces)
     while chunk := list(islice(it, _CHUNK_ROWS)):
         yield map(",".join, zip(*[_column(f, chunk) for f in _FIELDS]))
 
 
-def _trace_chunks(trace: Trace):
-    """Row chunks of a Trace, each column formatted from a slice of its array."""
-    columns = [trace.column(f.name) for f in _FIELDS]
-    for lo in range(0, len(trace), _CHUNK_ROWS):
-        hi = lo + _CHUNK_ROWS
-        cells = [
-            repeat("") if col is None  # a summary the optimizer lacks
-            else map(str if f.name in _INT_FIELDS else repr, col[lo:hi].tolist())
-            for f, col in zip(_FIELDS, columns)
-        ]
-        yield map(",".join, zip(*cells))
-
-
-def write_csv(traces: Trace | list[StepTrace], path) -> None:
+def write_csv(traces: Sequence[StepTrace], path) -> None:
     """Write traces as UTF-8 CSV with LF line endings; traces must be nonempty."""
     if not traces:
         raise ValueError("refusing to write an empty trace list")
-    chunks = _trace_chunks(traces) if isinstance(traces, Trace) else _list_chunks(traces)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        for rows in chunks:
+        for rows in _chunks(traces):
             fh.write("\n".join(rows))
             fh.write("\n")
 

@@ -14,7 +14,6 @@ from vsgd.harness import (
     RunResult,
     Trace,
     _mean,
-    _means,
     _norm,
     make_stepper,
     parse_scheduler,
@@ -345,32 +344,6 @@ def test_norm_and_mean_match_numpy_bitwise():
         assert _norm(other) == float(np.linalg.norm(other))
 
 
-def test_stacked_means_match_per_array_means_bitwise():
-    """One reduction over a (k, dim) stack sums each row as ``_mean`` does,
-    across numpy's pairwise-summation and buffer boundaries."""
-    rng = make_rng(5)
-    for dim in [*range(1, 140), 255, 256, 257, 8191, 8192, 8193, 16384]:
-        for k in (2, 3):
-            rows = 10.0 ** rng.uniform(-8, 8, (k, dim))
-            assert _means(rows) == [_mean(row) for row in rows], dim
-
-
-@pytest.mark.parametrize("name", ["vsgd", "constant-vsgd", "so-vsgd"])
-def test_stacked_summaries_match_per_array_summaries_bitwise(name):
-    """Up to one block the summaries are one reduction over a stacked
-    buffer; above it, one array at a time.  Both give the same bits."""
-    rng = make_rng(7)
-    for dim in (1, 10, 139, 257, 8193, 16384):
-        stepper = make_stepper(name, dim, cfg(optimizer=name))
-        for rate in ("b_g", "b_ghat"):
-            if hasattr(stepper.state, rate):
-                getattr(stepper.state, rate)[:] = 10.0 ** rng.uniform(-8, 8, dim)
-        stacked = stepper.summaries()
-        assert len(stacked) == len(stepper.summary_fields)
-        stepper._rows = None
-        assert list(stacked) == list(stepper.summaries())
-
-
 class TestTrace:
     def test_sequence_of_step_traces(self):
         trace = run(cfg(steps=30)).traces
@@ -401,12 +374,11 @@ class TestTrace:
 
     def test_missing_summaries_have_no_column(self):
         constant = run(cfg(optimizer="constant-vsgd", steps=5)).traces
-        assert constant.column("mean_b_g") is None
-        assert constant.column("mean_b_ghat") is not None
+        assert constant._values.shape == (5, 5)
+        assert all(tr.mean_b_g is None and tr.mean_b_ghat is not None for tr in constant)
         sgd = run(cfg(optimizer="sgd", steps=5)).traces
-        assert all(sgd.column(name) is None
-                   for name in ("mean_b_g", "mean_b_ghat", "mean_sigma2"))
-        assert sgd.column("t").tolist() == [1, 2, 3, 4, 5]
+        assert sgd._values.shape == (3, 5) and sgd._t.tolist() == [1, 2, 3, 4, 5]
+        assert all(tr.mean_b_g is tr.mean_b_ghat is tr.mean_sigma2 is None for tr in sgd)
 
     def test_slice_copies_its_rows(self):
         """A kept tail must not pin the whole run's columns."""
@@ -424,7 +396,7 @@ class TestTrace:
         item.t, item.loss, item.mean_b_g = -1, float("nan"), None
         assert dataclasses.astuple(trace[-1]) == before
         with pytest.raises(ValueError):
-            trace.column("loss")[0] = 0.0
+            trace._values[0, 0] = 0.0
 
     def test_record_point_costs_columns_not_objects(self):
         """A stride-1 vsgd run keeps 7 columns of 8 bytes per record point

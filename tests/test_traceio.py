@@ -78,8 +78,8 @@ def test_read_rejects_foreign_header(tmp_path):
 
 @pytest.mark.parametrize("optimizer", ["sgd", "constant-vsgd", "vsgd"])
 def test_trace_writes_the_bytes_of_its_list(tmp_path, optimizer):
-    """A Trace is formatted a column at a time, a list cell by cell, both in
-    row chunks; the bytes are those of the whole file joined at once."""
+    """A Trace and its list are written in row chunks; the bytes are those of
+    the whole file joined at once."""
     config = RunConfig(optimizer=optimizer, problem="quad:dim=3,noise=1.0",
                        steps=2500, seed=4, hp=HyperParams(eta=0.01))
     trace = run(config).traces
