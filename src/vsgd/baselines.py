@@ -79,14 +79,7 @@ def adam_step(
     """Bias-corrected Adam: theta -= eta * m_hat / (sqrt(v_hat) + eps)."""
     g_hat = _checked_gradient(g_hat, state.m.shape[0])
     _update_moments(state, g_hat, cfg)
-    m_hat = state.m / (1.0 - cfg.beta1 ** state.t)
-    v_hat = state.v / (1.0 - cfg.beta2 ** state.t)
-    np.sqrt(v_hat, out=v_hat)
-    v_hat += cfg.eps
-    m_hat /= v_hat
-    m_hat *= cfg.eta
-    theta -= m_hat
-    return state, theta
+    return state, _corrected_step(state, theta, state.v, cfg)
 
 
 def amsgrad_step(
@@ -103,14 +96,21 @@ def amsgrad_step(
     g_hat = _checked_gradient(g_hat, state.m.shape[0])
     _update_moments(state, g_hat, cfg)
     np.maximum(state.v_hat_max, state.v, out=state.v_hat_max)
+    return state, _corrected_step(state, theta, state.v_hat_max, cfg)
+
+
+def _corrected_step(
+    state: AdamState, theta: np.ndarray, v: np.ndarray, cfg: AdamParams
+) -> np.ndarray:
+    """theta -= eta * m_hat / (sqrt(v_hat) + eps); ``v`` is v or AMSGrad's v_hat_max."""
     m_hat = state.m / (1.0 - cfg.beta1 ** state.t)
-    v_hat = state.v_hat_max / (1.0 - cfg.beta2 ** state.t)
+    v_hat = v / (1.0 - cfg.beta2 ** state.t)
     np.sqrt(v_hat, out=v_hat)
     v_hat += cfg.eps
     m_hat /= v_hat
     m_hat *= cfg.eta
     theta -= m_hat
-    return state, theta
+    return theta
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@
                 --seed 1,2,3 --steps 500 --out d/
     vsgd verify [--suite oracle]
 
+``run`` and ``sweep`` share one flag set; ``run`` takes one value per flag.
 Each ``HyperParams`` field has a flag: ``--lr`` (eta), ``--kg``, ``--kh``,
 and ``--<field>`` for the rest, whose help is the field's text in the
 ``HyperParams`` docstring.  ``sweep`` runs the cross product of its
@@ -14,11 +15,11 @@ CSV per run plus sweep_summary.csv, whose status column reads ok, diverged
 or error (a run that raised NumericError, printed as an error line; the
 other runs go on), and prints each optimizer's best hyperparameters by mean
 final loss over seeds.  File names and columns name lr, weight decay and any
-other hyperparameter that varies.  A config file
+other hyperparameter that varies (``_label``).  A config file
 (--config FILE, key=value lines mirroring the long flag names) supplies
 defaults that flags override.  --out falls back to VSGD_OUT_DIR.  Exit codes:
-0 success, 1 verification failure, divergence or NumericError, 2 I/O or
-configuration error.
+0 success, 1 verification failure, divergence or NumericError, 2 I/O, usage
+or configuration error (a non-finite hyperparameter too) or out of memory.
 """
 from __future__ import annotations
 
@@ -114,37 +115,28 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_run_flags(p: argparse.ArgumentParser, lists: bool) -> None:
-        floats, ints = (_comma_list(float), _comma_list(int)) if lists else (float, int)
-        p.add_argument("--config", help="key=value config file; flags override it")
-        if lists:
-            p.add_argument(
-                "--optimizer",
-                type=_comma_list(optimizer_name),
-                default="vsgd",
-                help=f"comma list of {', '.join(sorted(OPTIMIZER_NAMES))}",
-            )
-        else:
-            p.add_argument("--optimizer", choices=sorted(OPTIMIZER_NAMES), default="vsgd")
-        p.add_argument("--problem", default="quad")
-        for name, label in _HP_NAMES.items():
-            default = getattr(HyperParams, name)
-            text = _FIELD_DOCS.get(name, f"HyperParams.{name}")
-            p.add_argument("--" + label.replace("_", "-"), dest=name, type=floats,
-                           default=default, help=f"{text} (default {default:g})")
-        p.add_argument("--steps", type=int, default=1000)
-        p.add_argument("--seed", type=ints, default=0)
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--record-stride", type=int, default=1)
-        p.add_argument("--scheduler", default="none", help="'none' or 'halve:K'")
+    # run and sweep share these flags; run takes one value of each
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--config", help="key=value config file; flags override it")
+    flags.add_argument("--optimizer", type=_comma_list(optimizer_name), default=["vsgd"],
+                       help=f"comma list of {', '.join(sorted(OPTIMIZER_NAMES))}")
+    flags.add_argument("--problem", default="quad")
+    floats = _comma_list(float)
+    for name, label in _HP_NAMES.items():
+        default = getattr(HyperParams, name)
+        text = _FIELD_DOCS.get(name, f"HyperParams.{name}")
+        flags.add_argument("--" + label.replace("_", "-"), dest=name, type=floats,
+                           default=[default], help=f"{text} (default {default:g})")
+    flags.add_argument("--steps", type=int, default=1000)
+    flags.add_argument("--seed", type=_comma_list(int), default=[0])
+    flags.add_argument("--out", default=None, help="output directory")
+    flags.add_argument("--record-stride", type=int, default=1)
+    flags.add_argument("--scheduler", default="none", help="'none' or 'halve:K'")
 
-    p_run = sub.add_parser("run", help="execute one configured run")
-    add_run_flags(p_run, lists=False)
-
+    p_run = sub.add_parser("run", parents=[flags], help="execute one run (one value per flag)")
     p_sweep = sub.add_parser(
-        "sweep", help="cross-product over comma-separated optimizer/hyperparameter/seed lists"
+        "sweep", parents=[flags], help="cross product of the optimizer/hyperparameter/seed lists"
     )
-    add_run_flags(p_sweep, lists=True)
 
     p_verify = sub.add_parser("verify", help="run the property suites")
     p_verify.add_argument(
@@ -157,7 +149,7 @@ def _apply_config_file(parser: argparse.ArgumentParser, path: str) -> None:
     """Load key=value lines as ``parser``'s defaults; flags still win.
 
     The keys are the parser's long flag names, and each value goes through
-    its flag's type and choices, so a bad value is a ConfigError at file:line.
+    its flag's type, so a bad value is a ConfigError at file:line.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -183,19 +175,12 @@ def _apply_config_file(parser: argparse.ArgumentParser, path: str) -> None:
         value = value.strip()
         try:
             typed = value if action.type is None else action.type(value)
-            if action.choices is not None and typed not in action.choices:
-                raise ValueError(f"expected one of {', '.join(action.choices)}")
         except ValueError as exc:
             raise ConfigError(
                 f"{path}:{lineno}: invalid {key} value {value!r}: {exc}"
             ) from None
         defaults[action.dest] = typed
     parser.set_defaults(**defaults)
-
-
-def _listed(value) -> list:
-    """A flag's value as a list: a sweep list as is, a single value wrapped."""
-    return value if isinstance(value, list) else [value]
 
 
 def parse_args(argv: list[str]) -> CliConfig:
@@ -218,18 +203,16 @@ def parse_args(argv: list[str]) -> CliConfig:
     if not out_dir:
         raise ConfigError("an output directory is required (--out or VSGD_OUT_DIR)")
 
-    optimizers = _listed(ns.optimizer)
-    decays = _listed(ns.weight_decay)
     # optimizers without weight decay take only the grid's 0 entries
-    undecayed = [name for name in optimizers if name not in WEIGHT_DECAY_OPTIMIZERS]
-    if undecayed and 0 not in decays:
+    undecayed = [name for name in ns.optimizer if name not in WEIGHT_DECAY_OPTIMIZERS]
+    if undecayed and 0 not in ns.weight_decay:
         raise ConfigError(
-            f"weight decay {','.join(f'{d:g}' for d in decays)} has no 0 entry for "
+            f"weight decay {','.join(map(_label, ns.weight_decay))} has no 0 entry for "
             f"{', '.join(undecayed)}; only {', '.join(sorted(WEIGHT_DECAY_OPTIMIZERS))} "
             "takes weight decay"
         )
     grid = itertools.product(
-        optimizers, *(_listed(getattr(ns, name)) for name in _HP_NAMES), _listed(ns.seed)
+        ns.optimizer, *(getattr(ns, name) for name in _HP_NAMES), ns.seed
     )
     configs = []
     for optimizer, *values, seed in grid:
@@ -239,6 +222,10 @@ def parse_args(argv: list[str]) -> CliConfig:
                 optimizer=optimizer, problem=ns.problem, steps=ns.steps, seed=seed,
                 hp=hp, record_stride=ns.record_stride, scheduler=ns.scheduler,
             ))
+    if ns.command == "run" and len(configs) > 1:
+        subparsers["run"].error(
+            f"the flags give {len(configs)} runs; run takes one value per flag (use sweep)"
+        )
     return CliConfig(command=ns.command, out_dir=out_dir, run_configs=configs)
 
 
@@ -252,10 +239,17 @@ def _named_fields(configs: list[RunConfig]) -> list[str]:
     ]
 
 
+def _label(value: float) -> str:
+    """``:g`` text if it reads back as ``value`` (not so for 0.1000001), else repr."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
+
+
 def _slug(config: RunConfig, named: list[str]) -> str:
     problem = "".join(c if c.isalnum() else "-" for c in config.problem)
     hps = "".join(
-        f"_{'wd' if name == 'weight_decay' else _HP_NAMES[name]}{getattr(config.hp, name):g}"
+        f"_{'wd' if name == 'weight_decay' else _HP_NAMES[name]}"
+        f"{_label(getattr(config.hp, name))}"
         for name in named
     )
     return f"{config.optimizer}_{problem}{hps}_seed{config.seed}"
@@ -324,7 +318,9 @@ def _print_ranking(summary_rows, named: list[str]) -> None:
     for mean, (optimizer, hp) in means:
         if optimizer not in ranked:
             ranked.add(optimizer)
-            cells = "".join(f" {getattr(hp, name):>{width}g}" for name, width in widths.items())
+            cells = "".join(
+                f" {_label(getattr(hp, name)):>{width}}" for name, width in widths.items()
+            )
             print(f"{optimizer:<14}{cells} {mean:>16.6g} {len(finals[optimizer, hp])}")
 
 
@@ -350,6 +346,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # a problem too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

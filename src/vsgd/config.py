@@ -1,12 +1,13 @@
 """Hyperparameter container for the VSGD optimizer family.
 
 One dataclass covers all three variants: plain VSGD uses (eta, gamma, k_g,
-kappa1, kappa2, weight_decay), Constant VSGD uses the single rate exponent
-``kappa``, and Second-order VSGD adds (k_h, mu_guard_eps).
+kappa1, kappa2, weight_decay), Constant VSGD uses kappa2 for its single
+latent, and Second-order VSGD adds (k_h, mu_guard_eps).  Every field is finite.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 
@@ -30,8 +31,8 @@ class HyperParams:
                     variance (> 0).
     kappa1, kappa2: SVI rate exponents for the systematic / observation
                     rate interpolation, each in (0.5, 1] so the rates
-                    rho_t = t**-kappa satisfy the Robbins-Monro conditions.
-    kappa:          single SVI rate exponent used by Constant VSGD.
+                    rho_t = t**-kappa satisfy the Robbins-Monro conditions;
+                    Constant VSGD's single latent uses kappa2.
     k_h:            prior ratio of curvature variance to systematic variance
                     (Second-order VSGD only, > 0).
     weight_decay:   decoupled L2 coefficient, applied to the pre-step
@@ -45,25 +46,20 @@ class HyperParams:
     k_g: float = DEFAULT_K_G
     kappa1: float = DEFAULT_KAPPA1
     kappa2: float = DEFAULT_KAPPA2
-    kappa: float = DEFAULT_KAPPA2
     k_h: float = DEFAULT_K_H
     weight_decay: float = 0.0
     mu_guard_eps: float = DEFAULT_MU_GUARD_EPS
 
     def __post_init__(self) -> None:
-        if not self.eta > 0:
-            raise ConfigError(f"eta must be > 0, got {self.eta}")
-        if not self.gamma > 0:
-            raise ConfigError(f"gamma must be > 0, got {self.gamma}")
-        if not self.k_g > 0:
-            raise ConfigError(f"k_g must be > 0, got {self.k_g}")
-        if not self.k_h > 0:
-            raise ConfigError(f"k_h must be > 0, got {self.k_h}")
-        for name in ("kappa1", "kappa2", "kappa"):
-            value = getattr(self, name)
-            if not 0.5 < value <= 1.0:
-                raise ConfigError(f"{name} must lie in (0.5, 1], got {value}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.mu_guard_eps < 0:
-            raise ConfigError(f"mu_guard_eps must be >= 0, got {self.mu_guard_eps}")
+        for f in fields(self):
+            name, value = f.name, getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+            if name in ("kappa1", "kappa2"):
+                if not 0.5 < value <= 1.0:
+                    raise ConfigError(f"{name} must lie in (0.5, 1], got {value}")
+            elif name in ("weight_decay", "mu_guard_eps"):
+                if value < 0:
+                    raise ConfigError(f"{name} must be >= 0, got {value}")
+            elif not value > 0:
+                raise ConfigError(f"{name} must be > 0, got {value}")

@@ -12,9 +12,10 @@ directly comparable to constant-weight optimizers:
                                           + 0.5*k_g*(sigma2 + (mu'-mu)^2)]
     theta  <- theta - eta * mu' / sqrt(mu'^2 + sigma2)
 
-with rho = t**-kappa.  With k_g = beta1/(1-beta1) the mu recursion is
-Adam's first moment; the second moment mu'^2 + sigma2 splits into an
-Adam-like part plus a data-driven noise term (second_moment_decomposition).
+with rho = t**-kappa2, the rate VSGD gives the same observation latent
+(``svi_rates``).  With k_g = beta1/(1-beta1) the mu recursion is Adam's
+first moment; the second moment mu'^2 + sigma2 splits into an Adam-like
+part plus a data-driven noise term (second_moment_decomposition).
 
 ``cvsgd_step`` runs the step as one in-place kernel on ``core._blocked``,
 with three block-sized scratch buffers on the state: ``state.mu_g`` and
@@ -30,7 +31,7 @@ import numpy as np
 
 from .config import HyperParams
 from .errors import ConfigError
-from .core import _blocked, _checked_gradient, _scratch
+from .core import _blocked, _checked_gradient, _scratch, svi_rates
 
 __all__ = [
     "ConstantVsgdState",
@@ -91,7 +92,7 @@ def cvsgd_step(
     """One Constant VSGD step; state and theta are updated in place."""
     g_hat = _checked_gradient(g_hat, state.dim)
     t = state.t + 1
-    rho = float(t) ** -hp.kappa
+    rho = svi_rates(t, hp)[1]
     _blocked(
         _cvsgd_block,
         (state.mu_g, state.b_ghat, theta),

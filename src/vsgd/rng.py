@@ -67,20 +67,17 @@ def _normal_rows(gen: np.random.Generator, size: int, steps: int) -> np.ndarray:
 
     Computed in place in one (steps, 2*pairs) buffer of uniforms: each
     row's first half becomes the radii times the cosines, its second half
-    the radii times the sines.  Every pass is elementwise, so running it
-    over all rows at once, or over blocks of at most ``_BLOCK`` pairs of
-    one row, changes no bit; a draw of one block is one pass over the whole
-    halves.
+    the radii times the sines.  The passes run over column blocks of at
+    most ``_BLOCK`` pairs of all rows at once; every pass is elementwise, so
+    the blocking changes no bit.  A stream's chunk of more than one step
+    holds at most ``_BLOCK`` pairs, so it is one pass over the whole halves.
     """
     pairs = (size + 1) // 2
     z = gen.random(steps * 2 * pairs).reshape(steps, 2 * pairs)
-    if steps * pairs <= _BLOCK:
-        _box_muller(z[:, :pairs], z[:, pairs:], np.empty((steps, pairs)))
-        return z[:, :size]
-    row, cos = z[0], np.empty(_BLOCK)  # more than one block: one step
+    cos = np.empty((steps, min(pairs, _BLOCK)))
     for lo in range(0, pairs, _BLOCK):
         hi = min(lo + _BLOCK, pairs)
-        _box_muller(row[lo:hi], row[pairs + lo : pairs + hi], cos[: hi - lo])
+        _box_muller(z[:, lo:hi], z[:, pairs + lo : pairs + hi], cos[:, : hi - lo])
     return z[:, :size]
 
 

@@ -10,6 +10,7 @@ sign-step and positivity checks here with full-scale arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -46,10 +47,10 @@ def check_oracle_agreement(n_cases: int = 2000, seed: int = 101) -> CheckResult:
 
     state = core.VsgdState(t=1, mu_g=mu_prev, b_g=b_g, b_ghat=b_ghat, a=a)
     mu, sigma2 = core.local_update(state, g_hat)
-    # elementwise gamma/k_g: evaluate the closed forms directly
-    a_prime = gamma + 0.5
-    b_g_prime = gamma + 0.5 * (sigma2 + (mu - mu_prev) ** 2)
-    b_ghat_prime = k_g * gamma + 0.5 * (sigma2 + (mu - g_hat) ** 2)
+    # elementwise gamma/k_g, which HyperParams (scalars only) cannot hold
+    a_prime, b_g_prime, b_ghat_prime = core.global_intermediate(
+        mu, sigma2, mu_prev, g_hat, SimpleNamespace(gamma=gamma, k_g=k_g)
+    )
     ref = oracle.one_pass(mu_prev, g_hat, a, b_g, b_ghat, gamma, k_g)
 
     worst = max(

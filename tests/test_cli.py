@@ -303,6 +303,21 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "seed must be >= 0" in err
 
+    @pytest.mark.parametrize("flags", [["--gamma", "inf"], ["--weight-decay", "nan"]])
+    def test_non_finite_hyperparameter_exits_two_before_writing(self, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        assert main(["run", *flags, "--steps", "5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be finite" in err
+        assert not out.exists()
+
+    def test_unallocatable_problem_exits_two_without_traceback(self, tmp_path, capsys):
+        # numpy refuses 1e13 float64s (72.8 TiB) at once, without touching memory
+        argv = ["run", "--problem", "quad:dim=1e13", "--steps", "1", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and "Traceback" not in err
+
     def test_weight_decay_on_baseline_rejected(self, tmp_path):
         code = main(
             [
@@ -369,6 +384,26 @@ class TestSweepCommand:
             optimizer, lr = line.split()[:2]
             best = min(m for (o, _), m in means.items() if o == optimizer)
             assert means[optimizer, float(lr)] == best
+
+    def test_values_that_print_alike_under_g_get_distinct_names(self, tmp_path, capsys):
+        # :g keeps 6 significant digits, so both lrs would read 0.1
+        argv = ["sweep", "--optimizer", "vsgd", "--problem", "quad:dim=3,noise=1",
+                "--lr", "0.1,0.1000001", "--steps", "20", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        ranking = capsys.readouterr().out.split("sweep summary -> ", 1)[1].splitlines()[1:]
+        traces = sorted(p.name for p in tmp_path.iterdir() if p.name != "sweep_summary.csv")
+        assert traces == [
+            "vsgd_quad-dim-3-noise-1_lr0.1000001_wd0_seed0.csv",
+            "vsgd_quad-dim-3-noise-1_lr0.1_wd0_seed0.csv",
+        ]
+        with open(tmp_path / "sweep_summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["lr"] for row in rows] == ["0.1", "0.1000001"]
+        best = min(rows, key=lambda row: float(row["final_loss"]))["lr"]
+        assert ranking[1].split()[1] == best  # the ranking names the best lr exactly
+        assert vsgd.cli._label(0.1) == "0.1" and vsgd.cli._label(0.1000001) == "0.1000001"
+        assert vsgd.cli._label(1e-8) == "1e-08" and vsgd.cli._label(30.0) == "30"
+        assert vsgd.cli._label(1 / 3) == repr(1 / 3)
 
     def test_summary_quotes_problem_spec_with_commas(self, tmp_path):
         spec = "quad:dim=3,noise=0.5"

@@ -169,7 +169,7 @@ class TestLongTermMemory:
     def test_rate_is_convex_combination_of_past_s_values(self):
         # unroll b_t = sum_k rho_k * prod_{j>k}(1-rho_j) * s_k (b_0 term
         # vanishes because rho_1 = 1) and compare with the recursion
-        hp = HyperParams(k_g=5.0, kappa=0.7)
+        hp = HyperParams(k_g=5.0, kappa2=0.7)
         s = init_constant_state(1, hp)
         theta = np.zeros(1)
         rng = make_rng(7)
@@ -182,7 +182,7 @@ class TestLongTermMemory:
                 + 0.5 * (sigma2 + (mu_new - g) ** 2)
                 + 0.5 * hp.k_g * (sigma2 + (mu_new - s.mu_g) ** 2)
             )
-            rhos.append(float(t) ** -hp.kappa)
+            rhos.append(float(t) ** -hp.kappa2)
             cvsgd_step(s, theta, g, hp)
         weights = []
         for k in range(len(rhos)):

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,7 +50,7 @@ class TestHyperParams:
             dict(kappa1=0.5),
             dict(kappa1=1.5),
             dict(kappa2=0.2),
-            dict(kappa=1.01),
+            dict(kappa2=1.01),
             dict(weight_decay=-0.1),
             dict(mu_guard_eps=-1e-9),
         ],
@@ -55,6 +58,14 @@ class TestHyperParams:
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ConfigError):
             HyperParams(**kw)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(HyperParams)])
+    def test_rejects_non_finite_values(self, name, value):
+        # a NaN weight decay would otherwise read as "no decay" (nan > 0 is
+        # False), and an infinite gamma, eta or k_g would run to NaN theta
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            HyperParams(**{name: value})
 
     def test_both_kappa_orderings_expressible(self):
         HyperParams(kappa1=0.9, kappa2=0.81)
@@ -506,7 +517,7 @@ class TestBlockedKernel:
         """The step composed from the pure forms and the documented updates."""
         if name == "constant-vsgd":
             mu, sigma2 = cvsgd_local(state, g_hat, hp)
-            rho = float(state.t + 1) ** -hp.kappa
+            rho = float(state.t + 1) ** -hp.kappa2
             b_ghat_prime = (
                 hp.gamma + 0.5 * (sigma2 + (mu - g_hat) ** 2)
                 + 0.5 * hp.k_g * (sigma2 + (mu - state.mu_g) ** 2)

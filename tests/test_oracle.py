@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from vsgd import core
 from vsgd.core import VsgdState, local_update
 from vsgd.oracle import (
     Iterate,
@@ -14,6 +15,7 @@ from vsgd.oracle import (
     one_pass,
 )
 from vsgd.rng import make_rng
+from vsgd.verify import check_oracle_agreement
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -232,3 +234,20 @@ class TestElbo:
                 res.mu + delta, res.sigma2, res.a_prime, res.b_g_prime, res.b_ghat_prime
             )
             assert elbo(nudged, 0.2, 1.0, 1.0, 3.0) < v0
+
+
+class TestOracleCheck:
+    def test_checks_the_library_global_update(self, monkeypatch):
+        """The check compares core.global_intermediate itself with the oracle,
+        so a fault in the library's global update fails it."""
+        assert check_oracle_agreement(n_cases=200).passed
+
+        def no_half(mu_new, sigma2, mu_prev, g_hat, hp):  # drops the 0.5
+            return (
+                hp.gamma + 0.5,
+                hp.gamma + (sigma2 + (mu_new - mu_prev) ** 2),
+                hp.k_g * hp.gamma + (sigma2 + (mu_new - g_hat) ** 2),
+            )
+
+        monkeypatch.setattr(core, "global_intermediate", no_half)
+        assert not check_oracle_agreement(n_cases=200).passed
