@@ -24,6 +24,7 @@ or configuration error (a non-finite hyperparameter too) or out of memory.
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import inspect
 import itertools
@@ -100,10 +101,14 @@ def _comma_list(convert):
 
 
 def optimizer_name(text: str) -> str:
-    """Argparse type: one registered optimizer name."""
+    """Argparse type: one registered optimizer name.
+
+    Raises ArgumentTypeError, whose text argparse prints (a ValueError's it
+    drops), so a flag's error lists the names as a config file's does.
+    """
     name = text.strip()
     if name not in OPTIMIZER_NAMES:
-        raise ValueError(
+        raise argparse.ArgumentTypeError(
             f"unknown optimizer {name!r}; expected one of {', '.join(sorted(OPTIMIZER_NAMES))}"
         )
     return name
@@ -175,7 +180,7 @@ def _apply_config_file(parser: argparse.ArgumentParser, path: str) -> None:
         value = value.strip()
         try:
             typed = value if action.type is None else action.type(value)
-        except ValueError as exc:
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ConfigError(
                 f"{path}:{lineno}: invalid {key} value {value!r}: {exc}"
             ) from None
@@ -225,6 +230,13 @@ def parse_args(argv: list[str]) -> CliConfig:
     if ns.command == "run" and len(configs) > 1:
         subparsers["run"].error(
             f"the flags give {len(configs)} runs; run takes one value per flag (use sweep)"
+        )
+    # a repeated run would overwrite its trace file and count twice in the ranking
+    repeated = [rc for rc, n in collections.Counter(configs).items() if n > 1]
+    if repeated:
+        raise ConfigError(
+            f"the flags give run {_slug(repeated[0], _named_fields(configs))} more than once; "
+            "each run in a sweep must differ"
         )
     return CliConfig(command=ns.command, out_dir=out_dir, run_configs=configs)
 

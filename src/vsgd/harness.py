@@ -14,19 +14,21 @@ past the limit in magnitude.  The loss check therefore only sees record
 points, so at ``record_stride > 1`` a run whose loss blows up before its
 ``‖theta‖`` does is flagged at a later step than at stride 1.
 
-Traces: ``run`` writes each record point into columns that grow with the
-rows (int64 ``t``, float64 ``loss``, ``grad_norm``, ``theta_norm`` and one
-float64 column per state summary the optimizer has), and returns them as a
-``Trace``, a read-only sequence of ``StepTrace`` built on access.  A record
-point costs 8 bytes per column: 56 B for vsgd and so-vsgd, 48 B for
-constant-vsgd and 32 B for the baselines.  ``summarize`` and
-``traceio.write_csv`` take a ``Trace`` or any list of ``StepTrace``.
+Traces: ``run`` appends each record point to stdlib ``array`` columns
+(``array('q')`` for ``t``; one ``array('d')`` each for ``loss``,
+``grad_norm``, ``theta_norm`` and every state summary the optimizer has),
+and returns them as a ``Trace``, a read-only sequence of ``StepTrace`` built
+on access.  A record point costs 8 bytes per column plus the arrays' growth
+reserve: about 57-59 B for vsgd and so-vsgd, 50 B for constant-vsgd and
+33-34 B for the baselines.  ``summarize`` and ``traceio.write_csv`` take a
+``Trace`` or any list of ``StepTrace``.
 """
 from __future__ import annotations
 
 import math
 import operator
 import time
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 from itertools import repeat
@@ -106,52 +108,38 @@ class StepTrace:
 
 
 _FLOAT_FIELDS = tuple(f.name for f in fields(StepTrace)[1:])
-_ITER_ROWS = 1024  # rows turned into Python numbers at a time when iterating
 
 
 class Trace(Sequence):
     """A run's recorded steps as columns: a read-only sequence of StepTrace.
 
-    ``t`` is an int64 column; ``loss``, ``grad_norm``, ``theta_norm`` and
-    each state summary the optimizer has are the float64 rows of one
-    ``(k, n)`` array.  A summary the optimizer lacks has no column and reads
-    None.  Each item is a new StepTrace built from Python ints and floats
-    equal to the recorded values, so mutating it leaves the trace unchanged.
-    A slice is a Trace with its own copy of the rows: it keeps none of the
-    original's memory alive.  A Trace equals any sequence of equal
-    StepTraces, a list included.
+    ``t`` is an ``array('q')``; ``loss``, ``grad_norm``, ``theta_norm`` and
+    each state summary the optimizer has are ``array('d')`` columns.  A
+    summary the optimizer lacks has no column and reads None.  Each item is
+    a new StepTrace of the Python ints and floats the columns hold, so
+    mutating it leaves the trace unchanged.  A slice is a Trace with its own
+    copy of the rows: it keeps none of the original's memory alive.  A Trace
+    equals any sequence of equal StepTraces, a list included.
     """
 
-    __slots__ = ("_t", "_values", "_names", "_row_of")
+    __slots__ = ("_t", "_columns")
 
-    def __init__(self, t: np.ndarray, values: np.ndarray, names: tuple[str, ...]):
-        """``t`` is (n,) int64 and ``values`` (len(names), n) float64, holding
-        the float StepTrace fields ``names`` in field order; both become
-        read-only."""
-        t.flags.writeable = values.flags.writeable = False
-        self._t, self._values, self._names = t, values, names
-        # per float field, its row of values or None
-        self._row_of = tuple(names.index(f) if f in names else None for f in _FLOAT_FIELDS)
+    def __init__(self, t: array, columns: tuple[array | None, ...]):
+        """``t`` holds the steps; ``columns`` has one entry per float
+        StepTrace field, in field order: its column, or None if unrecorded.
+        The Trace takes the arrays as they are, without a copy."""
+        self._t, self._columns = t, columns
 
     def __len__(self) -> int:
         return len(self._t)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return Trace(self._t[i].copy(), self._values[:, i].copy(), self._names)
-        t = int(self._t[i])  # numpy's negative indexing and IndexError
-        values = self._values[:, i].tolist()
-        return StepTrace(t, *[None if r is None else values[r] for r in self._row_of])
+        if isinstance(i, slice):  # slicing an array copies it
+            return Trace(self._t[i], tuple(None if c is None else c[i] for c in self._columns))
+        return StepTrace(self._t[i], *[None if c is None else c[i] for c in self._columns])
 
     def __iter__(self):
-        for lo in range(0, len(self._t), _ITER_ROWS):
-            hi = lo + _ITER_ROWS
-            values = self._values[:, lo:hi].tolist()
-            yield from map(
-                StepTrace,
-                self._t[lo:hi].tolist(),
-                *[repeat(None) if r is None else values[r] for r in self._row_of],
-            )
+        return map(StepTrace, self._t, *[repeat(None) if c is None else c for c in self._columns])
 
     def __eq__(self, other):
         if not isinstance(other, Sequence):
@@ -160,39 +148,6 @@ class Trace(Sequence):
 
     def __repr__(self) -> str:
         return f"Trace({list(self)!r})"
-
-
-class _Columns:
-    """The growing columns a run records into; ``trace`` trims them to a Trace.
-
-    Capacity starts small and doubles when full, so nothing is allocated
-    ahead from the step budget, which a diverging run never reaches.
-    """
-
-    def __init__(self, names: tuple[str, ...]):
-        self.names = names
-        self.n = 0
-        self.t = np.empty(64, dtype=np.int64)
-        self.values = np.empty((len(names), 64))
-
-    def append(self, t: int, values: tuple[float, ...]) -> None:
-        n = self.n
-        if n == len(self.t):
-            self.t = _widened(self.t, 2 * n)
-            self.values = _widened(self.values, 2 * n)
-        self.t[n] = t
-        self.values[:, n] = values
-        self.n = n + 1
-
-    def trace(self) -> Trace:
-        n = self.n
-        return Trace(self.t[:n].copy(), self.values[:, :n].copy(), self.names)
-
-
-def _widened(a: np.ndarray, size: int) -> np.ndarray:
-    out = np.empty((*a.shape[:-1], size), dtype=a.dtype)
-    out[..., : a.shape[-1]] = a
-    return out
 
 
 @dataclass
@@ -370,7 +325,11 @@ def run(config: RunConfig, problem: Problem | None = None) -> RunResult:
     theta = np.array(problem.theta0, dtype=np.float64)  # one copy
     initial_loss = float(problem.loss(theta))
 
-    columns = _Columns(("loss", "grad_norm", "theta_norm", *stepper.summary_fields))
+    t_column = array("q")
+    recorded = {
+        name: array("d") for name in ("loss", "grad_norm", "theta_norm", *stepper.summary_fields)
+    }
+    appends = [column.append for column in recorded.values()]
     diverged = False
     steps_run = 0
     start = time.perf_counter()
@@ -386,14 +345,17 @@ def run(config: RunConfig, problem: Problem | None = None) -> RunResult:
         if record:
             loss = float(problem.loss(theta))
             bad = bad or not math.isfinite(loss) or abs(loss) > DIVERGENCE_LIMIT
-            columns.append(t, (loss, grad_norm, theta_norm, *stepper.summaries()))
+            t_column.append(t)
+            values = (loss, grad_norm, theta_norm, *stepper.summaries())
+            for append, value in zip(appends, values, strict=True):
+                append(value)
         if bad:
             diverged = True
             break
     wallclock = time.perf_counter() - start
     return RunResult(
         config=config,
-        traces=columns.trace(),
+        traces=Trace(t_column, tuple(map(recorded.get, _FLOAT_FIELDS))),
         diverged=diverged,
         steps_run=steps_run,
         initial_loss=initial_loss,

@@ -10,6 +10,7 @@ import numpy as np
 from vsgd import HyperParams, RunConfig, run, summarize
 from vsgd.baselines import SgdmParams, init_momentum_state, sgdm_step
 from vsgd.constant import cvsgd_local, cvsgd_step, init_constant_state, second_moment_decomposition
+from vsgd.core import init_state, vsgd_step
 from vsgd.oracle import coordinate_ascent_fixed_point, elbo_increase_check
 from vsgd.problems import make_problem
 from vsgd.rng import make_rng, normal
@@ -340,3 +341,42 @@ def test_criterion_12_second_order_sanity():
         hand_ok and finite,
         f"hand examples exact: {hand_ok}; 10000 noisy-quadratic steps finite: {finite}",
     )
+
+
+def test_criterion_13_constant_vsgd_is_the_strong_prior_limit():
+    """Constant VSGD is VSGD's strong-prior limit.
+
+    As gamma grows, VSGD's weight on the new observation,
+    ``b_g / (b_g + b_ghat)``, settles at its prior value ``1/(1+k_g)``, which
+    is Constant VSGD's fixed weight, so the two means agree to O(1/gamma).
+    At a weak prior VSGD learns its own weight and the means part.
+    """
+    rng = make_rng(0)
+    grads = [1.0 + 0.5 * normal(rng, 50) for _ in range(500)]
+
+    def compare(gamma, k_g):
+        hp = HyperParams(gamma=gamma, k_g=k_g)
+        v, c = init_state(50, hp), init_constant_state(50, hp)
+        theta_v, theta_c = np.zeros(50), np.zeros(50)
+        gap = 0.0
+        for t, g in enumerate(grads, 1):
+            vsgd_step(v, theta_v, g, hp)
+            cvsgd_step(c, theta_c, g, hp)
+            if t >= 10:
+                gap = max(gap, float(np.max(np.abs(v.mu_g - c.mu_g) / np.abs(c.mu_g))))
+        return gap, float(np.mean(v.b_g / (v.b_g + v.b_ghat)))
+
+    details, ok = [], True
+    for k_g in (30.0, 3.0):
+        runs = {gamma: compare(gamma, k_g) for gamma in (1e-8, 1e2, 1e4, 1e6)}
+        scaled = max(runs[gamma][0] * gamma for gamma in (1e2, 1e4, 1e6))
+        weak_gap = runs[1e-8][0]
+        weight = runs[1e4][1]
+        weight_err = abs(weight * (1.0 + k_g) - 1.0)
+        ok = ok and scaled <= 1.0 and weak_gap > 1.0 and weight_err <= 1e-3
+        details.append(
+            f"k_g={k_g:g}: gap*gamma {scaled:.3f} (<= 1 at gamma 1e2..1e6), "
+            f"gap {weak_gap:.2f} at gamma=1e-8 (> 1), weight {weight:.5f} vs "
+            f"1/(1+k_g) (rel {weight_err:.1e} <= 1e-3)"
+        )
+    _report(13, "Constant VSGD strong-prior limit", ok, "; ".join(details))

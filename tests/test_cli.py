@@ -171,9 +171,17 @@ class TestParseArgs:
         assert "adam, sgdm" in err and "no 0 entry" in err
         assert not (tmp_path / "out").exists()
 
-    def test_sweep_rejects_unknown_optimizer_in_list(self, tmp_path):
+    def test_sweep_rejects_unknown_optimizer_in_list(self, tmp_path, capsys):
         argv = ["sweep", "--optimizer", "vsgd,adamw", "--steps", "5", "--out", str(tmp_path)]
         assert exit_code(argv) == 2
+        assert "expected one of" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_run_rejects_unknown_optimizer_naming_the_valid_ones(self, tmp_path, capsys):
+        argv = ["run", "--optimizer", "adamw", "--steps", "5", "--out", str(tmp_path)]
+        assert exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert "expected one of" in err and "constant-vsgd" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_schedule_that_underflows_eta_exits_two_before_writing(self, tmp_path):
@@ -404,6 +412,18 @@ class TestSweepCommand:
         assert vsgd.cli._label(0.1) == "0.1" and vsgd.cli._label(0.1000001) == "0.1000001"
         assert vsgd.cli._label(1e-8) == "1e-08" and vsgd.cli._label(30.0) == "30"
         assert vsgd.cli._label(1 / 3) == repr(1 / 3)
+
+    @pytest.mark.parametrize(
+        "flags", [["--seed", "1,1"], ["--lr", "0.1,0.1"], ["--weight-decay", "0,-0"]]
+    )
+    def test_repeated_run_exits_two_before_writing(self, tmp_path, capsys, flags):
+        # the repeat would overwrite its trace file and count as two seeds
+        out = tmp_path / "out"
+        argv = ["sweep", "--optimizer", "vsgd", "--problem", "quad:dim=3,noise=1", *flags,
+                "--steps", "20", "--out", str(out)]
+        assert exit_code(argv) == 2
+        assert "more than once" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_summary_quotes_problem_spec_with_commas(self, tmp_path):
         spec = "quad:dim=3,noise=0.5"
