@@ -10,7 +10,8 @@ Each ``HyperParams`` field has a flag: ``--lr`` (eta), ``--kg``, ``--kh``,
 and ``--<field>`` for the rest, whose help is the field's text in the
 ``HyperParams`` docstring.  ``sweep`` runs the cross product of its
 comma lists (optimizer, every hyperparameter, seed), where optimizers without
-weight decay take only the weight-decay list's 0 entries; it writes one trace
+weight decay take only the weight-decay list's 0 entries, and a grid that
+gives one run twice is a configuration error; it writes one trace
 CSV per run plus sweep_summary.csv, whose status column reads ok, diverged
 or error (a run that raised NumericError, printed as an error line; the
 other runs go on), and prints each optimizer's best hyperparameters by mean

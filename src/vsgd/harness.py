@@ -329,7 +329,6 @@ def run(config: RunConfig, problem: Problem | None = None) -> RunResult:
     recorded = {
         name: array("d") for name in ("loss", "grad_norm", "theta_norm", *stepper.summary_fields)
     }
-    appends = [column.append for column in recorded.values()]
     diverged = False
     steps_run = 0
     start = time.perf_counter()
@@ -347,8 +346,8 @@ def run(config: RunConfig, problem: Problem | None = None) -> RunResult:
             bad = bad or not math.isfinite(loss) or abs(loss) > DIVERGENCE_LIMIT
             t_column.append(t)
             values = (loss, grad_norm, theta_norm, *stepper.summaries())
-            for append, value in zip(appends, values, strict=True):
-                append(value)
+            for column, value in zip(recorded.values(), values, strict=True):
+                column.append(value)
         if bad:
             diverged = True
             break
