@@ -400,13 +400,12 @@ class TestTrace:
         assert dataclasses.astuple(trace[-1]) == before
         with pytest.raises(TypeError):
             trace[0] = item
-        assert dataclasses.astuple(trace[-1]) == before
 
     def test_record_point_costs_columns_not_objects(self):
         """A stride-1 vsgd run keeps 7 columns of 8 bytes per record point
         (56 B plus the arrays' growth reserve); StepTrace objects in a list
-        took about 320 B.  While it runs, the columns grow in place: no
-        doubled buffer or trimmed copy lifts the peak."""
+        took about 320 B.  The columns grow in place, so the peak while the
+        run records stays near what they hold."""
         steps = 20_000
         problem = make_problem("quad:dim=10,noise=1.0")
         config = cfg(problem="quad", steps=steps)
