@@ -11,7 +11,6 @@ from .core import (
     global_interpolate,
     apply_step,
     vsgd_step,
-    minibatch_step,
     state_sigma2,
 )
 from .constant import (
@@ -39,7 +38,6 @@ __all__ = [
     "global_interpolate",
     "apply_step",
     "vsgd_step",
-    "minibatch_step",
     "state_sigma2",
     "ConstantVsgdState",
     "init_constant_state",

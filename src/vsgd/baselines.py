@@ -1,8 +1,10 @@
 """Reference optimizers: SGD, SGD with momentum, Adam, AMSGrad, Normalized-SGD.
 
 These are the comparison points for the equivalence and benchmark tests.
-All steppers share the package convention of updating state and theta in
-place and returning them, and reject non-finite gradients with NumericError.
+Every step shares the package protocol ``step(state, theta, g_hat, params)
+-> theta``: it updates state and theta in place, returns the theta it was
+given, and rejects a non-finite gradient with NumericError.  SGD and
+Normalized-SGD keep no state: they take ``None`` and read ``params.eta``.
 """
 from __future__ import annotations
 
@@ -10,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import HyperParams
 from .core import _checked_gradient
 from .errors import ConfigError
 
@@ -75,16 +78,16 @@ def _update_moments(state: AdamState, g_hat: np.ndarray, cfg: AdamParams) -> Non
 
 def adam_step(
     state: AdamState, theta: np.ndarray, g_hat: np.ndarray, cfg: AdamParams
-) -> tuple[AdamState, np.ndarray]:
+) -> np.ndarray:
     """Bias-corrected Adam: theta -= eta * m_hat / (sqrt(v_hat) + eps)."""
     g_hat = _checked_gradient(g_hat, state.m.shape[0])
     _update_moments(state, g_hat, cfg)
-    return state, _corrected_step(state, theta, state.v, cfg)
+    return _corrected_step(state, theta, state.v, cfg)
 
 
 def amsgrad_step(
     state: AdamState, theta: np.ndarray, g_hat: np.ndarray, cfg: AdamParams
-) -> tuple[AdamState, np.ndarray]:
+) -> np.ndarray:
     """Adam with the running max of v in the denominator (long-term memory).
 
     The max is taken over the raw second moment and bias-corrected with the
@@ -96,7 +99,7 @@ def amsgrad_step(
     g_hat = _checked_gradient(g_hat, state.m.shape[0])
     _update_moments(state, g_hat, cfg)
     np.maximum(state.v_hat_max, state.v, out=state.v_hat_max)
-    return state, _corrected_step(state, theta, state.v_hat_max, cfg)
+    return _corrected_step(state, theta, state.v_hat_max, cfg)
 
 
 def _corrected_step(
@@ -138,21 +141,26 @@ def init_momentum_state(param_count: int) -> MomentumState:
 
 def sgdm_step(
     state: MomentumState, theta: np.ndarray, g_hat: np.ndarray, cfg: SgdmParams
-) -> tuple[MomentumState, np.ndarray]:
+) -> np.ndarray:
     """v <- momentum*v + eta*g_hat; theta <- theta - v."""
     g_hat = _checked_gradient(g_hat, state.v.shape[0])
     state.v *= cfg.momentum
     state.v += cfg.eta * g_hat
     theta -= state.v
-    return state, theta
-
-
-def sgd_step(theta: np.ndarray, g_hat: np.ndarray, eta: float) -> np.ndarray:
-    theta -= eta * _checked_gradient(g_hat, theta.shape[0])
     return theta
 
 
-def normalized_sgd_step(theta: np.ndarray, g_hat: np.ndarray, eta: float) -> np.ndarray:
+def sgd_step(
+    state: None, theta: np.ndarray, g_hat: np.ndarray, params: HyperParams
+) -> np.ndarray:
+    """theta -= eta*g_hat, with ``params.eta``; ``state`` is None."""
+    theta -= params.eta * _checked_gradient(g_hat, theta.shape[0])
+    return theta
+
+
+def normalized_sgd_step(
+    state: None, theta: np.ndarray, g_hat: np.ndarray, params: HyperParams
+) -> np.ndarray:
     """theta -= eta*sign(g_hat); elements with g_hat = 0 are left unchanged."""
-    theta -= eta * np.sign(_checked_gradient(g_hat, theta.shape[0]))
+    theta -= params.eta * np.sign(_checked_gradient(g_hat, theta.shape[0]))
     return theta

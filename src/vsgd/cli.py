@@ -285,6 +285,7 @@ def _cmd_run(cfg: CliConfig) -> int:
         write_csv(result.traces, path)
         metrics = summarize(result)
         status = "diverged" if result.diverged else "ok"
+        del result  # the next run records without this run's trace alive
         print(
             f"{slug}: {status} final_loss={metrics.final_loss:.6g} "
             f"best_loss={metrics.best_loss:.6g} "

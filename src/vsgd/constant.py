@@ -88,8 +88,8 @@ def cvsgd_step(
     theta: np.ndarray,
     g_hat: np.ndarray,
     hp: HyperParams,
-) -> tuple[ConstantVsgdState, np.ndarray]:
-    """One Constant VSGD step; state and theta are updated in place."""
+) -> np.ndarray:
+    """One Constant VSGD step; state and theta are updated in place; returns theta."""
     g_hat = _checked_gradient(g_hat, state.dim)
     t = state.t + 1
     rho = svi_rates(t, hp)[1]
@@ -102,7 +102,7 @@ def cvsgd_step(
     )
     state.a_ghat = hp.gamma + 1.0
     state.t = t
-    return state, theta
+    return theta
 
 
 def _cvsgd_block(work, arrays, g_hat, scalars):

@@ -20,16 +20,15 @@ sqrt(mu'^2 + sigma2) = sqrt(E[g^2]) acts as a local Lipschitz estimate, so
 every per-element displacement is bounded by eta.  Elements are modeled
 independently; all state arrays are flat and parallel, in float64.
 
-``vsgd_step`` and ``minibatch_step`` run one fused in-place kernel
-(scratch buffers live on the state) for throughput; a mini-batch block
-feeds it the per-sample averages of the squared residuals and local means.
-The component functions below are the pure reference forms and agree with
-the kernel up to float associativity.
+``vsgd_step`` runs one fused in-place kernel (scratch buffers live on the
+state) for throughput.  The component functions below are the pure
+reference forms and agree with the kernel up to float associativity.
 
 ``_blocked`` runs every VSGD-family kernel, this one and Constant and
 Second-order VSGD's: it calls a kernel on cache-sized element blocks of
 the state and theta arrays, or once on the whole arrays when the dim fits
-in one block, and blocking changes no bit of the result.
+in one block.  Every kernel pass is elementwise, so blocking changes no
+bit of the result.
 """
 from __future__ import annotations
 
@@ -50,7 +49,6 @@ __all__ = [
     "global_interpolate",
     "apply_step",
     "vsgd_step",
-    "minibatch_step",
     "state_sigma2",
 ]
 
@@ -184,92 +182,14 @@ def vsgd_step(
     theta: np.ndarray,
     g_hat: np.ndarray,
     hp: HyperParams,
-) -> tuple[VsgdState, np.ndarray]:
+) -> np.ndarray:
     """One optimizer step: SVI local/global updates, then the theta update.
 
     Semantically svi_rates -> local_update -> global_intermediate ->
     global_interpolate -> apply_step, executed as a fused in-place kernel.
-    ``state`` and ``theta`` are updated in place and returned.
+    ``state`` and ``theta`` are updated in place; returns ``theta``.
     """
-    return _fused_step(state, theta, _checked_gradient(g_hat, state.dim), hp)
-
-
-def minibatch_step(
-    state: VsgdState,
-    theta: np.ndarray,
-    g_hat_samples: np.ndarray,
-    hp: HyperParams,
-) -> tuple[VsgdState, np.ndarray]:
-    """Step from M per-sample gradients treated separately.
-
-    Each sample gets its own local mean mu_i; the intermediate rates average
-    the per-sample squared residuals, and the theta update uses the average
-    of the mu_i.  Cost grows linearly with M.  M=1 is vsgd_step, and M>1
-    runs its kernel, so identical samples give the single-sample step
-    bitwise.  Updates state and theta in place.
-    """
-    samples = np.asarray(g_hat_samples, dtype=np.float64)
-    if samples.size == 0:
-        raise ValueError("minibatch_step needs at least one gradient sample")
-    if samples.ndim == 1:
-        samples = samples[None, :]
-    if samples.ndim != 2 or samples.shape[1] != state.dim:
-        raise ValueError(
-            f"sample block shape {samples.shape} incompatible with state dim {state.dim}"
-        )
-    if samples.shape[0] == 1:
-        return vsgd_step(state, theta, samples[0], hp)
-    if not np.isfinite(samples).all():
-        raise NumericError("non-finite gradient sample rejected")
-    return _fused_step(state, theta, samples, hp)
-
-
-# Elements per kernel block.  A block's arrays (state, theta, gradient,
-# scratch) fit in L2, so a kernel's 25-45 passes read cache instead of
-# streaming every pass from memory at large dim.
-_BLOCK = 16384
-
-
-def _scratch(state, count: int) -> list[np.ndarray]:
-    """The state's ``count`` block-sized scratch buffers, made on first use."""
-    work, size = state._work, min(len(state.mu_g), _BLOCK + 1)
-    if work is None or len(work[0]) != size:
-        work = state._work = [np.empty(size) for _ in range(count)]
-    return work
-
-
-def _blocked(kernel, arrays, g_hat, work, scalars) -> None:
-    """Run ``kernel(work, arrays, g_hat, scalars)`` over element blocks.
-
-    ``arrays`` is a tuple of the (dim,) state and theta arrays the kernel
-    updates in place, ``g_hat`` a checked gradient (dim,) or sample block
-    (M, dim), ``work`` the scratch buffers from ``_scratch`` and ``scalars``
-    a tuple of the step's scalars.  The kernel unpacks both tuples itself:
-    star-arguments would cost a dim-10 step a few percent.  Blocks hold at
-    most ``_BLOCK`` elements (``_BLOCK + 1`` for the last); a dim that fits
-    in one block is one call on the whole arrays, with no slicing.  Every
-    kernel pass is elementwise or a per-element mean over samples, so
-    blocking does not change a single bit.
-    """
-    dim = len(arrays[0])
-    if dim <= _BLOCK + 1:
-        kernel(work, arrays, g_hat, scalars)
-        return
-    # a one-element tail joins the block before it: np.mean over the samples
-    # of an (M, 1) block sums pairwise, so for M >= 9 it would round
-    # differently from the same element inside a wider block
-    starts = range(0, dim - 1, _BLOCK)
-    for lo, hi in zip(starts, [*starts[1:], dim]):
-        kernel(
-            [w[: hi - lo] for w in work],
-            tuple(x[lo:hi] for x in arrays),
-            g_hat[..., lo:hi],
-            scalars,
-        )
-
-
-def _fused_step(state: VsgdState, theta: np.ndarray, g_hat: np.ndarray, hp: HyperParams):
-    """In-place step for a checked gradient (dim,) or block (M, dim)."""
+    g_hat = _checked_gradient(g_hat, state.dim)
     t = state.t + 1
     rho1, rho2 = svi_rates(t, hp)
     _blocked(
@@ -281,16 +201,50 @@ def _fused_step(state: VsgdState, theta: np.ndarray, g_hat: np.ndarray, hp: Hype
     )
     state.t = t
     state.a = hp.gamma + 0.5
-    return state, theta
+    return theta
+
+
+# Elements per kernel block.  A block's arrays (state, theta, gradient,
+# scratch) fit in L2, so a kernel's 25-45 passes read cache instead of
+# streaming every pass from memory at large dim.
+_BLOCK = 16384
+
+
+def _scratch(state, count: int) -> list[np.ndarray]:
+    """The state's ``count`` block-sized scratch buffers, made on first use."""
+    work, size = state._work, min(len(state.mu_g), _BLOCK)
+    if work is None or len(work[0]) != size:
+        work = state._work = [np.empty(size) for _ in range(count)]
+    return work
+
+
+def _blocked(kernel, arrays, g_hat, work, scalars) -> None:
+    """Run ``kernel(work, arrays, g_hat, scalars)`` over element blocks.
+
+    ``arrays`` is a tuple of the (dim,) state and theta arrays the kernel
+    updates in place, ``g_hat`` the checked (dim,) gradient, ``work`` the
+    scratch buffers from ``_scratch`` and ``scalars`` a tuple of the step's
+    scalars.  The kernel unpacks both tuples itself: star-arguments would
+    cost a dim-10 step a few percent.  Blocks hold at most ``_BLOCK``
+    elements; a dim that fits in one block is one call on the whole arrays,
+    with no slicing.
+    """
+    dim = len(arrays[0])
+    if dim <= _BLOCK:
+        kernel(work, arrays, g_hat, scalars)
+        return
+    for lo in range(0, dim, _BLOCK):
+        hi = min(lo + _BLOCK, dim)
+        kernel(
+            [w[: hi - lo] for w in work],
+            tuple(x[lo:hi] for x in arrays),
+            g_hat[lo:hi],
+            scalars,
+        )
 
 
 def _block_step(work, arrays, g_hat, scalars):
-    """The step on one element block, in place; ``a`` is the pre-step shape.
-
-    A gradient block (M, n) averages its per-sample squared residuals and
-    local means into the buffers a single gradient (n,) fills; the rest of
-    the step is shared.
-    """
+    """The step on one element block, in place; ``a`` is the pre-step shape."""
     s, w_obs, w_prev, sig, obs, dev = work
     mu, b_g, b_ghat, theta = arrays
     a, rho1, rho2, hp = scalars
@@ -302,27 +256,14 @@ def _block_step(work, arrays, g_hat, scalars):
     sig /= a  # sigma2
     # residuals in product form (no cancellation): mu_new - mu = w_obs*diff
     # and mu_new - g_hat = -w_prev*diff, with diff = g_hat - mu
-    if g_hat.ndim == 1:
-        np.subtract(g_hat, mu, out=obs)
-        np.multiply(w_obs, obs, out=dev)
-        obs *= w_prev
-        mu *= w_prev
-        np.multiply(g_hat, w_obs, out=w_obs)
-        mu += w_obs  # mu is now mu_new
-        dev *= dev
-        obs *= obs
-    else:
-        diff = g_hat - mu
-        sq = w_obs * diff
-        sq *= sq
-        np.mean(sq, axis=0, out=dev)
-        np.multiply(w_prev, diff, out=sq)
-        sq *= sq
-        np.mean(sq, axis=0, out=obs)
-        mu *= w_prev
-        np.multiply(g_hat, w_obs, out=sq)
-        sq += mu
-        np.mean(sq, axis=0, out=mu)  # mu_new: the mean of the mu_i
+    np.subtract(g_hat, mu, out=obs)
+    np.multiply(w_obs, obs, out=dev)
+    obs *= w_prev
+    mu *= w_prev
+    np.multiply(g_hat, w_obs, out=w_obs)
+    mu += w_obs  # mu is now mu_new
+    dev *= dev
+    obs *= obs
 
     # b_g <- (1-rho1)*b_g + rho1*(gamma + 0.5*(sigma2 + dev^2)), folded
     dev += sig

@@ -218,68 +218,57 @@ def _constant_summaries(state, params):
 
 _RATES = ("mean_b_g", "mean_b_ghat", "mean_sigma2")
 
-# name -> (params from the config's hp, init(dim, hp), step, summary fields,
-# summaries or None).  step(state, theta, g_hat, params) returns theta;
-# summaries(state, params) returns the means named by the summary fields.
-# Step functions are looked up on their modules at call time, so a patched
-# module attribute (a tracer, a test double) is the one called.
+# name -> (params class, or None for the config's hp; init(dim, hp), or None
+# for no state; step as (module, function name); summary fields; summaries or
+# None).  Every step is step(state, theta, g_hat, params) -> theta, and
+# summaries(state, params) returns the means named by the summary fields.  A
+# stepper looks its step up on the module when it is built, so a step patched
+# on its module (a tracer, a test double) before then is the one it calls.
 _OPTIMIZERS = {
     "vsgd": (
-        lambda hp: hp,
+        None,
         core.init_state,
-        lambda state, theta, g_hat, p: core.vsgd_step(state, theta, g_hat, p)[1],
+        (core, "vsgd_step"),
         _RATES,
         _rate_summaries,
     ),
     "constant-vsgd": (
-        lambda hp: hp,
+        None,
         constant.init_constant_state,
-        lambda state, theta, g_hat, p: constant.cvsgd_step(state, theta, g_hat, p)[1],
+        (constant, "cvsgd_step"),
         _RATES[1:],
         _constant_summaries,
     ),
     "so-vsgd": (
-        lambda hp: hp,
+        None,
         second_order.init_so_state,
-        lambda state, theta, g_hat, p: second_order.so_vsgd_step(state, theta, g_hat, p)[1],
+        (second_order, "so_vsgd_step"),
         _RATES,
         _rate_summaries,
     ),
     "adam": (
-        lambda hp: baselines.AdamParams(eta=hp.eta),
+        baselines.AdamParams,
         lambda dim, hp: baselines.init_adam_state(dim),
-        lambda state, theta, g_hat, p: baselines.adam_step(state, theta, g_hat, p)[1],
+        (baselines, "adam_step"),
         (),
         None,
     ),
     "amsgrad": (
-        lambda hp: baselines.AdamParams(eta=hp.eta),
+        baselines.AdamParams,
         lambda dim, hp: baselines.init_adam_state(dim, amsgrad=True),
-        lambda state, theta, g_hat, p: baselines.amsgrad_step(state, theta, g_hat, p)[1],
+        (baselines, "amsgrad_step"),
         (),
         None,
     ),
-    "sgd": (
-        lambda hp: hp,
-        lambda dim, hp: None,
-        lambda state, theta, g_hat, p: baselines.sgd_step(theta, g_hat, p.eta),
-        (),
-        None,
-    ),
+    "sgd": (None, None, (baselines, "sgd_step"), (), None),
     "sgdm": (
-        lambda hp: baselines.SgdmParams(eta=hp.eta),
+        baselines.SgdmParams,
         lambda dim, hp: baselines.init_momentum_state(dim),
-        lambda state, theta, g_hat, p: baselines.sgdm_step(state, theta, g_hat, p)[1],
+        (baselines, "sgdm_step"),
         (),
         None,
     ),
-    "nsgd": (
-        lambda hp: hp,
-        lambda dim, hp: None,
-        lambda state, theta, g_hat, p: baselines.normalized_sgd_step(theta, g_hat, p.eta),
-        (),
-        None,
-    ),
+    "nsgd": (None, None, (baselines, "normalized_sgd_step"), (), None),
 }
 OPTIMIZER_NAMES = frozenset(_OPTIMIZERS)
 WEIGHT_DECAY_OPTIMIZERS = frozenset({"vsgd"})
@@ -289,9 +278,10 @@ class _Stepper:
     """One optimizer's params and state over a run; ``step`` advances theta."""
 
     def __init__(self, name: str, dim: int, hp: HyperParams):
-        make_params, init, self._step, self.summary_fields, self._summaries = _OPTIMIZERS[name]
-        self.params = make_params(hp)
-        self.state = init(dim, hp)
+        params, init, (module, fn), self.summary_fields, self._summaries = _OPTIMIZERS[name]
+        self.params = hp if params is None else params(eta=hp.eta)
+        self.state = None if init is None else init(dim, hp)
+        self._step = getattr(module, fn)
 
     def step(self, theta, g_hat, eta):
         if eta != self.params.eta:  # the scheduler moved eta
@@ -370,9 +360,8 @@ def summarize(result: RunResult) -> Metrics:
     traces = result.traces
     if not traces:
         raise ValueError("cannot summarize a run with no recorded traces")
-    losses = [tr.loss for tr in traces]
     return Metrics(
-        final_loss=losses[-1],
-        best_loss=min(losses),
+        final_loss=traces[-1].loss,
+        best_loss=min(tr.loss for tr in traces),
         wallclock_per_step=result.wallclock_seconds / max(result.steps_run, 1),
     )

@@ -133,8 +133,8 @@ def so_vsgd_step(
     theta: np.ndarray,
     g_hat: np.ndarray,
     hp: HyperParams,
-) -> tuple[SecondOrderState, np.ndarray]:
-    """One Second-order VSGD step; state and theta are updated in place.
+) -> np.ndarray:
+    """One Second-order VSGD step; state and theta are updated in place; returns theta.
 
     The gradient and the whole of mu_g are checked before any block is
     written, so a step that raises leaves state and theta untouched.
@@ -152,7 +152,7 @@ def so_vsgd_step(
     )
     state.a = hp.gamma + 0.5
     state.t = t
-    return state, theta
+    return theta
 
 
 def _so_block(work, arrays, g_hat, scalars):

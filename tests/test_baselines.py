@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vsgd import ConfigError
+from vsgd import ConfigError, HyperParams
 from vsgd.baselines import (
     AdamParams,
     SgdmParams,
@@ -138,13 +138,13 @@ class TestSgdm:
 
 class TestNormalizedSgd:
     def test_sign_step(self):
-        theta = normalized_sgd_step(np.zeros(1), np.array([-4.0]), 0.1)
+        theta = normalized_sgd_step(None, np.zeros(1), np.array([-4.0]), HyperParams(eta=0.1))
         assert theta[0] == 0.1
 
     def test_zero_gradient_convention(self):
-        theta = normalized_sgd_step(np.array([2.0]), np.zeros(1), 0.1)
+        theta = normalized_sgd_step(None, np.array([2.0]), np.zeros(1), HyperParams(eta=0.1))
         assert theta[0] == 2.0
 
     def test_sgd_step(self):
-        theta = sgd_step(np.array([1.0]), np.array([2.0]), 0.25)
+        theta = sgd_step(None, np.array([1.0]), np.array([2.0]), HyperParams(eta=0.25))
         assert theta[0] == 0.5

@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import os
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -340,6 +341,26 @@ class TestRunCommand:
 
 
 class TestSweepCommand:
+    def test_sweep_peaks_at_one_run(self, tmp_path):
+        """A sweep frees each run's trace before the next run records, so
+        two 10000-step runs peak where one does; holding the first run's
+        trace through the second reads 1.27x."""
+        common = ["--optimizer", "vsgd", "--problem", "quad:dim=10,noise=1", "--steps", "10000"]
+        main(["run", "--steps", "2", "--out", str(tmp_path / "warm")])  # lazy imports
+
+        def peak(argv, out):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                assert main([*argv, *common, "--out", str(tmp_path / out)]) == 0
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        one = peak(["run", "--seed", "1"], "run")
+        sweep = peak(["sweep", "--seed", "1,2"], "sweep")
+        assert sweep <= 1.1 * one, sweep / one
+
     def test_writes_one_file_per_combo_plus_summary(self, tmp_path):
         code = main(
             [

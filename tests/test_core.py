@@ -14,7 +14,6 @@ from vsgd import (
     global_interpolate,
     init_state,
     local_update,
-    minibatch_step,
     state_sigma2,
     svi_rates,
     vsgd_step,
@@ -381,106 +380,26 @@ class TestVsgdStep:
             )
 
 
-class TestMinibatchStep:
-    def test_single_sample_bitwise_equals_step(self):
-        g = np.array([0.3, -1.2, 2.0])
-        s_a, th_a = fresh(3), np.ones(3)
-        s_b, th_b = fresh(3), np.ones(3)
-        vsgd_step(s_a, th_a, g, HP)
-        minibatch_step(s_b, th_b, [g], HP)
-        assert np.array_equal(th_a, th_b)
-        assert np.array_equal(s_a.mu_g, s_b.mu_g)
-        assert np.array_equal(s_a.b_g, s_b.b_g)
-        assert np.array_equal(s_a.b_ghat, s_b.b_ghat)
-
-    def test_identical_pair_bitwise_equals_step(self):
-        g = np.array([0.3, -1.2, 2.0])
-        s_a, th_a = fresh(3), np.ones(3)
-        s_b, th_b = fresh(3), np.ones(3)
-        vsgd_step(s_a, th_a, g, HP)
-        minibatch_step(s_b, th_b, [g, g], HP)
-        assert np.array_equal(th_a, th_b)
-        assert np.array_equal(s_a.mu_g, s_b.mu_g)
-        assert np.array_equal(s_a.b_g, s_b.b_g)
-        assert np.array_equal(s_a.b_ghat, s_b.b_ghat)
-
-    def test_mean_update_is_linear_in_samples(self):
-        # equal rates, zero mean: averaging {0, 2} equals observing 1
-        def state():
-            return VsgdState(
-                t=0, mu_g=np.zeros(1), b_g=np.ones(1), b_ghat=np.ones(1), a=1.0
-            )
-
-        s_batch, th_batch = state(), np.zeros(1)
-        minibatch_step(s_batch, th_batch, [np.array([0.0]), np.array([2.0])], HP)
-        s_single, th_single = state(), np.zeros(1)
-        vsgd_step(s_single, th_single, np.array([1.0]), HP)
-        assert s_batch.mu_g[0] == s_single.mu_g[0] == 0.5
-
-    def test_matches_per_sample_component_composition(self):
-        # reference: local_update per sample, squared residuals and local
-        # means averaged over the block, then interpolate and step
-        rng = make_rng(17)
-        hp = HyperParams(eta=0.01, weight_decay=0.1)
-        st_, theta = fresh(4), np.ones(4)
-        ref, ref_theta = fresh(4), np.ones(4)
-        for _ in range(20):
-            samples = normal(rng, 12).reshape(3, 4) + theta
-            rho1, rho2 = svi_rates(ref.t + 1, hp)
-            locals_ = [local_update(ref, g) for g in samples]
-            sigma2 = locals_[0][1]
-            mu_new = np.mean([mu for mu, _ in locals_], axis=0)
-            dev_sq = np.mean([(mu - ref.mu_g) ** 2 for mu, _ in locals_], axis=0)
-            obs_sq = np.mean([(mu - g) ** 2 for (mu, _), g in zip(locals_, samples)], axis=0)
-            b_g_p = hp.gamma + 0.5 * (sigma2 + dev_sq)
-            b_ghat_p = hp.k_g * hp.gamma + 0.5 * (sigma2 + obs_sq)
-            ref_theta = apply_step(ref_theta, mu_new, sigma2, hp)
-            ref = global_interpolate(
-                ref, b_g_p, b_ghat_p, rho1, rho2, a_prime=hp.gamma + 0.5, mu_new=mu_new
-            )
-            minibatch_step(st_, theta, samples, hp)
-            np.testing.assert_allclose(st_.mu_g, ref.mu_g, rtol=1e-12)
-            np.testing.assert_allclose(st_.b_g, ref.b_g, rtol=1e-10)
-            np.testing.assert_allclose(st_.b_ghat, ref.b_ghat, rtol=1e-10)
-            np.testing.assert_allclose(theta, ref_theta, rtol=1e-12)
-            assert st_.a == ref.a and st_.t == ref.t
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            minibatch_step(fresh(2), np.ones(2), [], HP)
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
-            minibatch_step(fresh(2), np.ones(2), np.ones((2, 3)), HP)
-
-
 class TestBlockedKernel:
     @staticmethod
-    def stream(dim, samples, weight_decay):
+    def stream(dim, weight_decay):
         hp = HyperParams(eta=0.01, weight_decay=weight_decay)
         rng = make_rng(dim)
         state, theta = init_state(dim, hp), normal(rng, dim)
         for _ in range(5):
             # magnitudes over twelve decades, so any change of rounding shows
             scale = 10.0 ** rng.integers(-6, 7, size=dim)
-            g_hat = normal(rng, samples * dim).reshape(samples, dim) * scale
-            if samples == 1:
-                vsgd_step(state, theta, g_hat[0], hp)
-            else:
-                minibatch_step(state, theta, g_hat, hp)
+            vsgd_step(state, theta, normal(rng, dim) * scale, hp)
         return state, theta
 
-    # 50 = 7*7 + 1 and 53 = 7*7 + 4 leave ragged last blocks; at M >= 9 the
-    # mean over samples of a one-element block would round differently
+    # 50 = 7*7 + 1 and 53 = 7*7 + 4 leave ragged last blocks, one a
+    # one-element tail
     @pytest.mark.parametrize("dim", [50, 53])
-    @pytest.mark.parametrize("samples", [1, 3, 9])
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
-    def test_small_blocks_bitwise_equal_default_block(
-        self, monkeypatch, dim, samples, weight_decay
-    ):
-        whole, whole_theta = self.stream(dim, samples, weight_decay)
+    def test_small_blocks_bitwise_equal_default_block(self, monkeypatch, dim, weight_decay):
+        whole, whole_theta = self.stream(dim, weight_decay)
         monkeypatch.setattr(core, "_BLOCK", 7)
-        blocked, blocked_theta = self.stream(dim, samples, weight_decay)
+        blocked, blocked_theta = self.stream(dim, weight_decay)
         assert blocked_theta.tobytes() == whole_theta.tobytes()
         for name in ("mu_g", "b_g", "b_ghat"):
             assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes(), name

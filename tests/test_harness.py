@@ -1,7 +1,9 @@
 import dataclasses
+import importlib
 import math
 import tracemalloc
 import warnings
+from array import array
 
 import numpy as np
 import pytest
@@ -434,6 +436,26 @@ class TestSummarize:
         m = summarize(run(cfg(steps=5)))
         assert m.wallclock_per_step > 0
 
+    def test_reads_the_trace_without_a_list_of_losses(self):
+        """Summarizing a 40000-row vsgd trace holds one row at a time: a list
+        of every loss would peak at about 1.3 MB."""
+        rows = 40_000
+        losses = array("d", [float(rows - t) for t in range(rows)])
+        losses[rows // 2] = 0.5
+        columns = (losses, *(array("d", bytes(8 * rows)) for _ in range(5)))
+        trace = Trace(array("q", range(1, rows + 1)), columns)
+        result = RunResult(cfg(), trace, False, rows, 1.0, 1.0)
+        summarize(result)  # lazy first-call costs would count against the bound
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            m = summarize(result)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert (m.final_loss, m.best_loss) == (1.0, 0.5)
+        assert peak <= 100_000, peak
+
     def test_empty_traces_rejected(self):
         r = RunResult(
             config=cfg(),
@@ -473,3 +495,37 @@ class TestSteppers:
         with pytest.raises(NumericError):
             stepper.step(theta, np.array([0.1, bad, -0.2]), 0.01)
         np.testing.assert_array_equal(theta, np.ones(3))
+
+    # the eight public step functions, named here and not read from the
+    # harness table: a patch on these module attributes must reach the run
+    STEP_FUNCTIONS = {
+        "vsgd": ("vsgd.core", "vsgd_step"),
+        "constant-vsgd": ("vsgd.constant", "cvsgd_step"),
+        "so-vsgd": ("vsgd.second_order", "so_vsgd_step"),
+        "adam": ("vsgd.baselines", "adam_step"),
+        "amsgrad": ("vsgd.baselines", "amsgrad_step"),
+        "sgdm": ("vsgd.baselines", "sgdm_step"),
+        "sgd": ("vsgd.baselines", "sgd_step"),
+        "nsgd": ("vsgd.baselines", "normalized_sgd_step"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(OPTIMIZER_NAMES))
+    def test_step_returns_theta_and_calls_the_patched_function(self, name, monkeypatch):
+        g = np.array([0.1, -0.2, 0.3])
+        theta = np.ones(3)
+        assert make_stepper(name, 3, cfg(optimizer=name)).step(theta, g, 0.01) is theta
+
+        module_name, fn = self.STEP_FUNCTIONS[name]
+        module = importlib.import_module(module_name)
+        step, calls = getattr(module, fn), []
+
+        def spy(state, theta, g_hat, params):
+            calls.append((state, theta))
+            return step(state, theta, g_hat, params)
+
+        monkeypatch.setattr(module, fn, spy)
+        stepper = make_stepper(name, 3, cfg(optimizer=name))
+        theta = np.ones(3)
+        assert stepper.step(theta, g, 0.01) is theta
+        assert len(calls) == 1
+        assert calls[0][0] is stepper.state and calls[0][1] is theta
