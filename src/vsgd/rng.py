@@ -1,22 +1,22 @@
-"""Seedable, portable randomness for the benchmark harness.
+"""Seedable randomness for the benchmark harness.
 
-The generator is numpy's PCG64 (a named, documented algorithm whose integer
-and uniform-double streams are reproducible across platforms for a given
-seed).  Normal variates are produced by the basic Box-Muller transform on
-those uniforms — a deterministic transform with no rejection loop, so traces
-depend only on (seed, draw order).  The transform runs in place in the
-buffer of uniforms, over blocks of pairs the size of the optimizer kernels'
-blocks, so a draw allocates nothing beyond its result and one block-sized
-buffer.
+The generator is numpy's PCG64, and normal variates are numpy's own
+``Generator.standard_normal`` (a ziggurat sampler on PCG64's 64-bit outputs)
+with no transform of ours on top.  For one numpy version a run's draws
+depend only on (seed, draw order): the sampler is scalar C code, not
+numpy's SIMD-dispatched ufuncs, so its bits are the same at every SIMD
+dispatch level.  numpy's stream policy (NEP 19) lets the normal stream
+change between numpy releases; the tests pin it.  A draw allocates nothing
+beyond its result.
 
 A run draws through a ``Stream``, which serves a request repeated step
 after step (``normal(stream, size)``, ``stream.integers(low, high,
 size=b)``) from chunks drawn ahead.  The contract:
 
-- **Bitwise.**  Every row equals the per-step draw: a PCG64 double takes
-  one 64-bit output, and a bounded integer one or more 32- or 64-bit
-  outputs in order, so one draw of ``k`` steps' values is ``k`` per-step
-  draws laid end to end.
+- **Bitwise.**  Every row equals the per-step draw: a normal takes one or
+  more 64-bit outputs, and a bounded integer one or more 32- or 64-bit
+  outputs, always in order, so one draw of ``k`` steps' values is ``k``
+  per-step draws laid end to end.
 - **Chunks of at most ``2*_BLOCK`` values.**  A chunk holds
   ``max(1, 2*_BLOCK // values_per_step)`` steps at most; it starts at one
   step for a new request and doubles with each chunk of the same request.
@@ -52,46 +52,14 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def normal(rng: np.random.Generator | Stream, size: int) -> np.ndarray:
-    """Standard normal draws via Box-Muller (no rejection sampling).
+    """``size`` standard normal draws: ``Generator.standard_normal(size)``.
 
     ``rng`` is a ``Stream`` (the next row of its chunk) or a plain
-    ``Generator`` (a one-step chunk, drawn now).
+    ``Generator`` (drawn now).
     """
     if type(rng) is Stream:
         return rng._row(("normal", size))
-    return _normal_rows(rng, size, 1)[0]
-
-
-def _normal_rows(gen: np.random.Generator, size: int, steps: int) -> np.ndarray:
-    """``steps`` rows of ``size`` normals, each row a per-step draw.
-
-    Computed in place in one (steps, 2*pairs) buffer of uniforms: each
-    row's first half becomes the radii times the cosines, its second half
-    the radii times the sines.  The passes run over column blocks of at
-    most ``_BLOCK`` pairs of all rows at once; every pass is elementwise, so
-    the blocking changes no bit.  A stream's chunk of more than one step
-    holds at most ``_BLOCK`` pairs, so it is one pass over the whole halves.
-    """
-    pairs = (size + 1) // 2
-    z = gen.random(steps * 2 * pairs).reshape(steps, 2 * pairs)
-    cos = np.empty((steps, min(pairs, _BLOCK)))
-    for lo in range(0, pairs, _BLOCK):
-        hi = min(lo + _BLOCK, pairs)
-        _box_muller(z[:, lo:hi], z[:, pairs + lo : pairs + hi], cos[:, : hi - lo])
-    return z[:, :size]
-
-
-def _box_muller(radius: np.ndarray, angle: np.ndarray, cos: np.ndarray) -> None:
-    """Uniforms (radius, angle) -> radius*cos, radius*sin, in place."""
-    np.subtract(1.0, radius, out=radius)  # (0, 1]: keeps the log finite
-    np.log(radius, out=radius)
-    radius *= -2.0
-    np.sqrt(radius, out=radius)
-    angle *= 2.0 * np.pi
-    np.cos(angle, out=cos)
-    np.sin(angle, out=angle)
-    angle *= radius
-    radius *= cos
+    return rng.standard_normal(size)
 
 
 def _is_int(x) -> bool:
@@ -101,7 +69,7 @@ def _is_int(x) -> bool:
 def _rows(gen: np.random.Generator, key, steps: int) -> np.ndarray:
     """``steps`` per-step draws of ``key``'s request, one row each."""
     if key[0] == "normal":
-        return _normal_rows(gen, key[1], steps)
+        return gen.standard_normal(steps * key[1]).reshape(steps, key[1])
     _, low, high, size = key
     return gen.integers(low, high, size=steps * size).reshape(steps, size)
 
@@ -128,8 +96,8 @@ class Stream:
             self._key, self._steps = key, 1
         if self._chunk is None:
             steps = self._steps
-            per_step = 2 * ((key[1] + 1) // 2) if key[0] == "normal" else key[3]
-            self._steps = min(2 * steps, max(1, 2 * _BLOCK // max(1, per_step)))
+            # key[-1] is the size, the values either request draws per step
+            self._steps = min(2 * steps, max(1, 2 * _BLOCK // max(1, key[-1])))
             if steps == 1:  # nothing to rewind: draw and keep nothing
                 return _rows(self._gen, key, 1)[0]
             self._saved = self._gen.bit_generator.state
