@@ -9,8 +9,7 @@
 Each ``HyperParams`` field has a flag: ``--lr`` (eta), ``--kg``, ``--kh``,
 and ``--<field>`` for the rest, whose help is the field's text in the
 ``HyperParams`` docstring.  ``sweep`` runs the cross product of its
-comma lists (optimizer, every hyperparameter, seed), where optimizers without
-weight decay take only the weight-decay list's 0 entries, and a grid that
+comma lists (optimizer, every hyperparameter, seed), and a grid that
 gives one run twice is a configuration error; it writes one trace
 CSV per run plus sweep_summary.csv, whose status column reads ok, diverged
 or error (a run that raised NumericError, printed as an error line; the
@@ -37,7 +36,7 @@ from dataclasses import dataclass, field, fields
 
 from .config import HyperParams
 from .errors import ConfigError, NumericError
-from .harness import OPTIMIZER_NAMES, WEIGHT_DECAY_OPTIMIZERS, Metrics, RunConfig, run, summarize
+from .harness import OPTIMIZER_NAMES, Metrics, RunConfig, run, summarize
 from .traceio import write_csv
 from .verify import SUITES, run_suites
 
@@ -209,25 +208,17 @@ def parse_args(argv: list[str]) -> CliConfig:
     if not out_dir:
         raise ConfigError("an output directory is required (--out or VSGD_OUT_DIR)")
 
-    # optimizers without weight decay take only the grid's 0 entries
-    undecayed = [name for name in ns.optimizer if name not in WEIGHT_DECAY_OPTIMIZERS]
-    if undecayed and 0 not in ns.weight_decay:
-        raise ConfigError(
-            f"weight decay {','.join(map(_label, ns.weight_decay))} has no 0 entry for "
-            f"{', '.join(undecayed)}; only {', '.join(sorted(WEIGHT_DECAY_OPTIMIZERS))} "
-            "takes weight decay"
-        )
     grid = itertools.product(
         ns.optimizer, *(getattr(ns, name) for name in _HP_NAMES), ns.seed
     )
-    configs = []
-    for optimizer, *values, seed in grid:
-        hp = HyperParams(**dict(zip(_HP_NAMES, values)))
-        if hp.weight_decay == 0 or optimizer in WEIGHT_DECAY_OPTIMIZERS:
-            configs.append(RunConfig(
-                optimizer=optimizer, problem=ns.problem, steps=ns.steps, seed=seed,
-                hp=hp, record_stride=ns.record_stride, scheduler=ns.scheduler,
-            ))
+    configs = [
+        RunConfig(
+            optimizer=optimizer, problem=ns.problem, steps=ns.steps, seed=seed,
+            hp=HyperParams(**dict(zip(_HP_NAMES, values))),
+            record_stride=ns.record_stride, scheduler=ns.scheduler,
+        )
+        for optimizer, *values, seed in grid
+    ]
     if ns.command == "run" and len(configs) > 1:
         subparsers["run"].error(
             f"the flags give {len(configs)} runs; run takes one value per flag (use sweep)"

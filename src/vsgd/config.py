@@ -1,8 +1,9 @@
 """Hyperparameter container for the VSGD optimizer family.
 
 One dataclass covers all three variants: plain VSGD uses (eta, gamma, k_g,
-kappa1, kappa2, weight_decay), Constant VSGD uses kappa2 for its single
-latent, and Second-order VSGD adds (k_h, mu_guard_eps).  Every field is finite.
+kappa1, kappa2), Constant VSGD uses kappa2 for its single latent, and
+Second-order VSGD adds (k_h, mu_guard_eps).  weight_decay is the harness's,
+for every optimizer.  Every field is finite.
 """
 from __future__ import annotations
 
@@ -35,8 +36,9 @@ class HyperParams:
                     Constant VSGD's single latent uses kappa2.
     k_h:            prior ratio of curvature variance to systematic variance
                     (Second-order VSGD only, > 0).
-    weight_decay:   decoupled L2 coefficient, applied to the pre-step
-                    parameters (>= 0; plain VSGD only).
+    weight_decay:   decoupled decay: harness.run scales theta by
+                    1 - eta_t*weight_decay before every optimizer's step;
+                    no step function reads it (>= 0).
     mu_guard_eps:   denominator guard for Second-order VSGD's gradient-ratio
                     term (>= 0).
     """

@@ -165,16 +165,12 @@ def apply_step(
     sigma2: np.ndarray,
     hp: HyperParams,
 ) -> np.ndarray:
-    """theta - eta*mu/sqrt(mu^2 + sigma2), plus decoupled weight decay.
+    """theta - eta*mu/sqrt(mu^2 + sigma2); weight decay is ``harness.run``'s.
 
-    Requires sigma2 > 0 elementwise so the denominator never vanishes.  The
-    decay term uses the pre-step theta.  |gradient-term displacement| is at
-    most eta per element since |mu| < sqrt(mu^2 + sigma2).
+    Requires sigma2 > 0 elementwise so the denominator never vanishes.
+    |displacement| is at most eta per element since |mu| < sqrt(mu^2 + sigma2).
     """
-    theta_new = theta - hp.eta * mu_new / np.sqrt(mu_new * mu_new + sigma2)
-    if hp.weight_decay > 0.0:
-        theta_new = theta_new - hp.eta * hp.weight_decay * theta
-    return theta_new
+    return theta - hp.eta * mu_new / np.sqrt(mu_new * mu_new + sigma2)
 
 
 def vsgd_step(
@@ -283,8 +279,6 @@ def _block_step(work, arrays, g_hat, scalars):
     np.sqrt(s, out=s)
     np.divide(mu, s, out=s)
     s *= hp.eta
-    if hp.weight_decay > 0.0:
-        theta *= 1.0 - hp.eta * hp.weight_decay
     theta -= s
 
 

@@ -2,8 +2,10 @@
 
 A RunConfig pins (optimizer, problem, steps, seed, hyperparameters,
 scheduler, record stride); ``run`` executes it deterministically — traces
-from the same config and seed are bitwise identical — and ``summarize``
-reduces a RunResult to scalar metrics.
+from the same config and seed are bitwise identical on one numpy build, one
+SIMD dispatch level and one BLAS kernel (README "Numerical notes" names the
+arithmetic that differs across them) — and ``summarize`` reduces a
+RunResult to scalar metrics.
 
 Divergence: ``‖theta‖`` is checked on every step, and the full-data loss
 only at record points (every ``record_stride`` steps and the last step) or
@@ -49,7 +51,6 @@ __all__ = [
     "RunResult",
     "Metrics",
     "OPTIMIZER_NAMES",
-    "WEIGHT_DECAY_OPTIMIZERS",
     "make_stepper",
     "parse_scheduler",
     "run",
@@ -80,10 +81,6 @@ class RunConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.record_stride < 1:
             raise ConfigError(f"record_stride must be >= 1, got {self.record_stride}")
-        if self.hp.weight_decay > 0 and self.optimizer not in WEIGHT_DECAY_OPTIMIZERS:
-            raise ConfigError(
-                "weight_decay is only supported by the vsgd optimizer"
-            )
         # fail fast on bad specs; the schedule never increases eta, so if the
         # last step's eta is positive every step's is
         last_eta = self.hp.eta * parse_scheduler(self.scheduler)(self.steps)
@@ -271,7 +268,6 @@ _OPTIMIZERS = {
     "nsgd": (None, None, (baselines, "normalized_sgd_step"), (), None),
 }
 OPTIMIZER_NAMES = frozenset(_OPTIMIZERS)
-WEIGHT_DECAY_OPTIMIZERS = frozenset({"vsgd"})
 
 
 class _Stepper:
@@ -306,9 +302,12 @@ def run(config: RunConfig, problem: Problem | None = None) -> RunResult:
 
     The problem draws its noise through a ``rng.Stream`` over the seeded
     generator, which serves the per-step draws from chunks, bitwise.
+    Weight decay is one pass here for every optimizer: after the sample and
+    before the step, ``theta *= 1 - eta_t*weight_decay`` at the scheduled eta.
     """
     if problem is None:
         problem = make_problem(config.problem)
+    eta, weight_decay = config.hp.eta, config.hp.weight_decay
     scale = parse_scheduler(config.scheduler)
     stepper = make_stepper(config.optimizer, problem.dim, config)
     rng = Stream(make_rng(config.seed))
@@ -324,7 +323,10 @@ def run(config: RunConfig, problem: Problem | None = None) -> RunResult:
     start = time.perf_counter()
     for t in range(1, config.steps + 1):
         g_hat = problem.sample_grad(theta, rng)
-        theta = stepper.step(theta, g_hat, config.hp.eta * scale(t))
+        eta_t = eta * scale(t)
+        if weight_decay:  # finite and >= 0, so this is weight_decay > 0
+            theta *= 1.0 - eta_t * weight_decay
+        theta = stepper.step(theta, g_hat, eta_t)
         steps_run = t
         theta_norm = math.sqrt(theta.dot(theta))  # np.linalg.norm's arithmetic
         bad = not theta_norm <= DIVERGENCE_LIMIT  # NaN fails the bound too

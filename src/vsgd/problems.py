@@ -43,7 +43,9 @@ class Problem:
     needs a real one (an ``isinstance`` check, ``np.random.default_rng``,
     a library's ``random_state``) takes ``np.random.Generator(rng.bit_generator)``,
     which shares the stream's bit generator: reading ``bit_generator``
-    first puts it where per-step draws would have left it.
+    first puts it where per-step draws would have left it.  The gradient it
+    returns must not alias ``theta``: ``harness.run`` scales theta in place
+    for weight decay after the sample and before the step.
     """
 
     name: str

@@ -155,22 +155,15 @@ class TestParseArgs:
             ("vsgd", 1), ("vsgd", 2), ("adam", 1), ("adam", 2)
         ]
 
-    def test_sweep_gives_weight_decay_grid_to_vsgd_only(self, tmp_path):
+    @pytest.mark.parametrize("decays", [[0.0, 0.01], [0.01, 0.1]], ids=["with-0", "without-0"])
+    def test_sweep_gives_weight_decay_grid_to_every_optimizer(self, tmp_path, decays):
         cfg = parse_args(
-            ["sweep", "--optimizer", "vsgd,adam,sgdm", "--weight-decay", "0,0.01",
-             "--out", str(tmp_path)]
+            ["sweep", "--optimizer", "vsgd,adam,sgdm",
+             "--weight-decay", ",".join(map(str, decays)), "--out", str(tmp_path)]
         )
         assert [(rc.optimizer, rc.hp.weight_decay) for rc in cfg.run_configs] == [
-            ("vsgd", 0.0), ("vsgd", 0.01), ("adam", 0.0), ("sgdm", 0.0)
+            (name, wd) for name in ("vsgd", "adam", "sgdm") for wd in decays
         ]
-
-    def test_weight_decay_grid_without_zero_names_undecayed_optimizers(self, tmp_path, capsys):
-        argv = ["sweep", "--optimizer", "vsgd,adam,sgdm", "--weight-decay", "0.01,0.1",
-                "--steps", "5", "--out", str(tmp_path / "out")]
-        assert exit_code(argv) == 2
-        err = capsys.readouterr().err
-        assert "adam, sgdm" in err and "no 0 entry" in err
-        assert not (tmp_path / "out").exists()
 
     def test_sweep_rejects_unknown_optimizer_in_list(self, tmp_path, capsys):
         argv = ["sweep", "--optimizer", "vsgd,adamw", "--steps", "5", "--out", str(tmp_path)]
@@ -327,17 +320,16 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory") and "Traceback" not in err
 
-    def test_weight_decay_on_baseline_rejected(self, tmp_path):
-        code = main(
-            [
-                "run",
-                "--optimizer", "adam",
-                "--weight-decay", "0.01",
-                "--steps", "5",
-                "--out", str(tmp_path),
-            ]
-        )
-        assert code == 2
+    def test_weight_decay_sweep_runs_every_optimizer(self, tmp_path):
+        names = sorted(harness.OPTIMIZER_NAMES)
+        argv = ["sweep", "--optimizer", ",".join(names), "--weight-decay", "0,0.01",
+                "--steps", "5", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        with open(tmp_path / "sweep_summary.csv", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["optimizer"], r["weight_decay"], r["status"]) for r in rows] == [
+            (name, wd, "ok") for name in names for wd in ("0.0", "0.01")
+        ]
 
 
 class TestSweepCommand:

@@ -244,12 +244,11 @@ class TestApplyStep:
         theta = apply_step(np.zeros(1), np.array([-2.0]), np.array([1e-30]), hp)
         assert theta[0] == pytest.approx(0.1, rel=1e-12)
 
-    def test_decoupled_weight_decay_uses_prestep_theta(self):
-        hp = HyperParams(eta=0.1, weight_decay=0.5)
-        theta0 = np.array([2.0])
-        theta = apply_step(theta0, np.array([3.0]), np.array([16.0]), hp)
-        assert theta[0] == pytest.approx(2.0 - 0.06 - 0.1 * 0.5 * 2.0, rel=1e-14)
-        assert theta0[0] == 2.0  # pure
+    def test_weight_decay_is_not_read(self):
+        # decay is harness.run's pass, before the step (tests/test_harness.py)
+        args = np.array([2.0]), np.array([3.0]), np.array([16.0])
+        theta = apply_step(*args, HyperParams(eta=0.1, weight_decay=0.5))
+        assert theta[0] == apply_step(*args, HyperParams(eta=0.1))[0]
 
     @given(
         mu=st.floats(-1e8, 1e8),
@@ -394,6 +393,7 @@ class TestBlockedKernel:
 
     # 50 = 7*7 + 1 and 53 = 7*7 + 4 leave ragged last blocks, one a
     # one-element tail
+    # a decay in the hyperparameters must not touch the kernel either way
     @pytest.mark.parametrize("dim", [50, 53])
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
     def test_small_blocks_bitwise_equal_default_block(self, monkeypatch, dim, weight_decay):

@@ -7,6 +7,7 @@ from array import array
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vsgd import ConfigError, HyperParams, NumericError, RunConfig, run, summarize
 from vsgd import harness as harness_module
@@ -21,7 +22,7 @@ from vsgd.harness import (
     parse_scheduler,
 )
 from vsgd.problems import Problem, make_problem
-from vsgd.rng import make_rng, normal
+from vsgd.rng import Stream, make_rng, normal
 
 
 def cfg(**kw):
@@ -52,10 +53,9 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="seed must be >= 0"):
             cfg(seed=-1)
 
-    def test_weight_decay_restricted_to_vsgd(self):
-        cfg(hp=HyperParams(eta=0.01, weight_decay=0.01))  # fine
-        with pytest.raises(ConfigError):
-            cfg(optimizer="adam", hp=HyperParams(eta=0.01, weight_decay=0.01))
+    def test_weight_decay_accepted_for_every_optimizer(self):
+        for name in OPTIMIZER_NAMES:
+            cfg(optimizer=name, hp=HyperParams(eta=0.01, weight_decay=0.01))  # no ConfigError
 
     def test_bad_scheduler_rejected_up_front(self):
         with pytest.raises(ConfigError):
@@ -344,6 +344,39 @@ def test_norm_and_mean_match_numpy_bitwise():
         assert _mean(x) == float(np.mean(x))
     for other in (x.astype(np.float32), list(x[:50]), x[::3], np.arange(-4, 7)):
         assert _norm(other) == float(np.linalg.norm(other))
+
+
+class TestWeightDecay:
+    @pytest.mark.parametrize("name", sorted(OPTIMIZER_NAMES))
+    @settings(max_examples=10, deadline=None)
+    @given(weight_decay=st.sampled_from([0.01, 0.3]), every=st.integers(1, 8))
+    def test_run_scales_theta_then_steps(self, name, weight_decay, every):
+        """``run`` decays theta once per step, after the sample and before the
+        step, at the scheduled eta: bitwise a hand loop that does the same."""
+        hp = HyperParams(eta=0.05, weight_decay=weight_decay)
+        config = cfg(optimizer=name, steps=20, hp=hp, scheduler=f"halve:{every}")
+        traces = run(config).traces
+        problem = make_problem(config.problem)
+        stepper = make_stepper(name, problem.dim, config)
+        scale, rng = parse_scheduler(config.scheduler), Stream(make_rng(config.seed))
+        theta, losses, norms = problem.theta0.copy(), array("d"), array("d")
+        for t in range(1, config.steps + 1):
+            g_hat = problem.sample_grad(theta, rng)
+            eta_t = hp.eta * scale(t)
+            theta *= 1.0 - eta_t * weight_decay
+            theta = stepper.step(theta, g_hat, eta_t)
+            losses.append(problem.loss(theta))
+            norms.append(np.linalg.norm(theta))
+        assert array("d", (tr.loss for tr in traces)).tobytes() == losses.tobytes()
+        assert array("d", (tr.theta_norm for tr in traces)).tobytes() == norms.tobytes()
+
+    def test_one_sgd_step_hand_value(self):
+        # noiseless quad: g = theta, so theta1 = (1 - eta*(1 + wd)) * theta0
+        config = cfg(optimizer="sgd", problem="quad:dim=3,noise=0", steps=1,
+                     hp=HyperParams(eta=0.1, weight_decay=0.5))
+        theta0 = make_problem(config.problem).theta0
+        ratio = run(config).traces[0].theta_norm / np.linalg.norm(theta0)
+        assert ratio == pytest.approx(abs(1.0 - 0.1 * (1.0 + 0.5)), rel=1e-14)
 
 
 class TestTrace:
