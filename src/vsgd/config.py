@@ -3,7 +3,8 @@
 One dataclass covers all three variants: plain VSGD uses (eta, gamma, k_g,
 kappa1, kappa2), Constant VSGD uses kappa2 for its single latent, and
 Second-order VSGD adds (k_h, mu_guard_eps).  weight_decay is the harness's,
-for every optimizer.  Every field is finite.
+for every optimizer.  Every field is finite, and so are the prior rates the
+fields multiply out to (see ``HyperParams``).
 """
 from __future__ import annotations
 
@@ -41,6 +42,12 @@ class HyperParams:
                     no step function reads it (>= 0).
     mu_guard_eps:   denominator guard for Second-order VSGD's gradient-ratio
                     term (>= 0).
+
+    The priors' rates are gamma, k_g*gamma and k_h*gamma, and the kernels
+    add gamma to each of the other two.  So k_g*gamma and k_h*gamma must be
+    > 0 (not underflowed) and gamma + k_g*gamma and gamma + k_h*gamma
+    finite (not overflowed); a pair that breaks this is a ConfigError
+    naming both fields.
     """
 
     eta: float = 0.01
@@ -65,3 +72,10 @@ class HyperParams:
                     raise ConfigError(f"{name} must be >= 0, got {value}")
             elif not value > 0:
                 raise ConfigError(f"{name} must be > 0, got {value}")
+        for name in ("k_g", "k_h"):
+            rate = getattr(self, name) * self.gamma
+            if not (rate > 0 and math.isfinite(self.gamma + rate)):
+                raise ConfigError(
+                    f"gamma + {name}*gamma must be finite and {name}*gamma > 0, "
+                    f"got {name}={getattr(self, name)!r}, gamma={self.gamma!r}"
+                )

@@ -3,9 +3,11 @@
 A RunConfig pins (optimizer, problem, steps, seed, hyperparameters,
 scheduler, record stride); ``run`` executes it deterministically — traces
 from the same config and seed are bitwise identical on one numpy build, one
-SIMD dispatch level and one BLAS kernel (README "Numerical notes" names the
-arithmetic that differs across them) — and ``summarize`` reduces a
-RunResult to scalar metrics.
+SIMD dispatch level, one BLAS kernel and one BLAS thread count (README
+"Numerical notes" names the arithmetic that differs across them; OpenBLAS
+runs the ``dot`` behind ``theta_norm``, ``grad_norm`` and the loss threaded
+above 10000 elements) — and ``summarize`` reduces a RunResult to scalar
+metrics.
 
 Divergence: ``‖theta‖`` is checked on every step, and the full-data loss
 only at record points (every ``record_stride`` steps and the last step) or
@@ -311,7 +313,7 @@ def run(config: RunConfig, problem: Problem | None = None) -> RunResult:
     scale = parse_scheduler(config.scheduler)
     stepper = make_stepper(config.optimizer, problem.dim, config)
     rng = Stream(make_rng(config.seed))
-    theta = np.array(problem.theta0, dtype=np.float64)  # one copy
+    theta = np.array(problem.theta0, dtype=np.float64)  # the run's only theta
     initial_loss = float(problem.loss(theta))
 
     t_column = array("q")

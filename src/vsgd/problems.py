@@ -46,6 +46,15 @@ class Problem:
     first puts it where per-step draws would have left it.  The gradient it
     returns must not alias ``theta``: ``harness.run`` scales theta in place
     for weight decay after the sample and before the step.
+
+    ``theta0`` is the read-only starting point: every built-in problem's
+    refuses writes, and ``quad``'s is ``np.broadcast_to(1.0, dim)``, a
+    stride-0 view that holds one element whatever the dim.  ``harness.run``
+    copies it once, with ``np.array(theta0, dtype=np.float64)``, and that
+    copy is the run's theta; so a large-dim run holds its state, theta, one
+    gradient and, for ``quad`` with ``cond > 1``, the diagonal.  Code that
+    steps from ``theta0`` itself takes a copy too.  A custom problem may
+    give any array.
     """
 
     name: str
@@ -131,9 +140,8 @@ def _make_quad(dim: int = 10, noise: float = 0.0, cond: float = 1.0) -> Problem:
                 np.multiply(diag[lo:hi], theta[lo:hi], out=p)
                 z[lo:hi] += p
 
-    return Problem(
-        "quad", dim, np.ones(dim), loss, true_grad, _sampler(true_grad, noise, dim, add_mean)
-    )
+    theta0 = np.broadcast_to(1.0, dim)  # stride 0: one element of memory
+    return Problem("quad", dim, theta0, loss, true_grad, _sampler(true_grad, noise, dim, add_mean))
 
 
 def _sampler(true_grad, noise: float, dim: int, add_mean=None):
@@ -181,6 +189,7 @@ def _make_rosenbrock(dim: int = 2, noise: float = 0.0) -> Problem:
         return g
 
     theta0 = np.where(np.arange(dim) % 2 == 0, -1.2, 1.0)
+    theta0.setflags(write=False)
     return Problem(
         "rosenbrock", dim, theta0, loss, true_grad, _sampler(true_grad, noise, dim)
     )
@@ -215,7 +224,9 @@ def _make_logreg(
         Xb = X.take(idx, axis=0)
         return Xb.T @ (_sigmoid(Xb @ theta) - y.take(idx)) / batch
 
-    return Problem("logreg", d, np.zeros(d), loss, true_grad, sample_grad)
+    theta0 = np.zeros(d)
+    theta0.setflags(write=False)
+    return Problem("logreg", d, theta0, loss, true_grad, sample_grad)
 
 
 def _make_mlp(
@@ -268,6 +279,7 @@ def _make_mlp(
 
     init_rng = make_rng(seed + 1)
     theta0 = 0.5 * normal(init_rng, dim)
+    theta0.setflags(write=False)
     return Problem("mlp", dim, theta0, loss, true_grad, sample_grad)
 
 

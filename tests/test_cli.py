@@ -305,7 +305,9 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "seed must be >= 0" in err
 
-    @pytest.mark.parametrize("flags", [["--gamma", "inf"], ["--weight-decay", "nan"]])
+    @pytest.mark.parametrize(
+        "flags", [["--gamma", "inf"], ["--weight-decay", "nan"], ["--gamma", "1e308"]]
+    )
     def test_non_finite_hyperparameter_exits_two_before_writing(self, tmp_path, capsys, flags):
         out = tmp_path / "out"
         assert main(["run", *flags, "--steps", "5", "--out", str(out)]) == 2

@@ -66,6 +66,20 @@ class TestHyperParams:
         with pytest.raises(ConfigError, match=f"{name} must be finite"):
             HyperParams(**{name: value})
 
+    @pytest.mark.parametrize(
+        "kw, name",
+        [
+            (dict(gamma=1e308), "k_g"),  # 30*gamma overflows
+            (dict(gamma=1e300, k_h=1e10), "k_h"),
+            (dict(gamma=1.5e308, k_g=1.0, k_h=1.0), "k_g"),  # the product fits, the sum not
+            (dict(gamma=1e-300, k_g=1e-30), "k_g"),  # the product underflows to 0
+            (dict(gamma=1e-300, k_h=1e-30), "k_h"),
+        ],
+    )
+    def test_rejects_prior_rates_out_of_range(self, kw, name):
+        with pytest.raises(ConfigError, match=rf"gamma \+ {name}\*gamma must be finite .*{name}=.*gamma="):
+            HyperParams(**kw)
+
     def test_both_kappa_orderings_expressible(self):
         HyperParams(kappa1=0.9, kappa2=0.81)
         HyperParams(kappa1=0.8, kappa2=0.9)

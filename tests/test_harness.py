@@ -241,23 +241,36 @@ class TestRun:
         assert [tr.grad_norm for tr in r.traces] == norms
 
     def test_large_dim_step_allocates_no_temporary_arrays(self):
-        """At large dim a run holds the state, theta and one gradient or
-        summary buffer; beyond those, only block-sized buffers."""
+        """At large dim a run, its problem included, holds the state, theta
+        and one gradient or summary buffer; beyond those, only block-sized
+        buffers.  ``quad``'s theta0 is a broadcast view, so the run's copy is
+        the only theta."""
         dim = 200_000
         array_bytes = 8 * dim
-        problem = make_problem(f"quad:dim={dim},noise=1.0")
         config = cfg(optimizer="so-vsgd", problem="quad", steps=5, record_stride=1)
         # a first run's lazy imports would count against the bound
         run(cfg(optimizer="so-vsgd", problem="quad:dim=10,noise=1.0", steps=2))
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            run(config, problem)
+            run(config, make_problem(f"quad:dim={dim},noise=1.0"))
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
         # 5 state arrays, theta, and the gradient or the sigma2 summary
         assert peak <= 7 * array_bytes + 2_000_000, peak / array_bytes
+
+    def test_quad_problem_allocates_nothing_dim_sized(self):
+        make_problem("quad:dim=10,noise=1")  # lazy imports
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            problem = make_problem("quad:dim=200000,noise=1")
+            allocated = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert problem.dim == 200_000
+        assert allocated < 64 * 1024, allocated
 
     def test_conditioned_quad_sample_makes_no_product_temporary(self):
         """``quad`` with ``cond > 1`` adds ``diag * theta`` into the normal

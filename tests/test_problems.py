@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from vsgd import ConfigError, make_problem
-from vsgd.problems import _sigmoid
+from vsgd import ConfigError, RunConfig, make_problem, run
+from vsgd.problems import _FACTORIES, _sigmoid
 from vsgd.rng import make_rng, normal
 
 
@@ -46,6 +46,19 @@ class TestSpecParsing:
     def test_unknown_parameter(self):
         with pytest.raises(ConfigError):
             make_problem("quad:banana=1")
+
+
+@pytest.mark.parametrize("name", sorted(_FACTORIES))
+def test_theta0_is_read_only_and_run_leaves_it_unchanged(name):
+    problem = make_problem(name)
+    before = np.array(problem.theta0)
+    assert not problem.theta0.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        problem.theta0[0] = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        problem.theta0 *= 2.0
+    run(RunConfig(optimizer="vsgd", problem=name, steps=5, seed=0), problem)
+    assert problem.theta0.tobytes() == before.tobytes()
 
 
 class TestQuadratic:
