@@ -2,7 +2,7 @@
 
 One dataclass covers all three variants: plain VSGD uses (eta, gamma, k_g,
 kappa1, kappa2), Constant VSGD uses kappa2 for its single latent, and
-Second-order VSGD adds (k_h, mu_guard_eps).  weight_decay is the harness's,
+Second-order VSGD adds k_h.  weight_decay is the harness's,
 for every optimizer.  Every field is finite, and so are the prior rates the
 fields multiply out to (see ``HyperParams``).
 """
@@ -19,7 +19,6 @@ DEFAULT_K_G = 30.0
 DEFAULT_KAPPA1 = 0.9
 DEFAULT_KAPPA2 = 0.81
 DEFAULT_K_H = 3.0
-DEFAULT_MU_GUARD_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -40,8 +39,6 @@ class HyperParams:
     weight_decay:   decoupled decay: harness.run scales theta by
                     1 - eta_t*weight_decay before every optimizer's step;
                     no step function reads it (>= 0).
-    mu_guard_eps:   denominator guard for Second-order VSGD's gradient-ratio
-                    term (>= 0).
 
     The priors' rates are gamma, k_g*gamma and k_h*gamma, and the kernels
     add gamma to each of the other two.  So k_g*gamma and k_h*gamma must be
@@ -57,7 +54,6 @@ class HyperParams:
     kappa2: float = DEFAULT_KAPPA2
     k_h: float = DEFAULT_K_H
     weight_decay: float = 0.0
-    mu_guard_eps: float = DEFAULT_MU_GUARD_EPS
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -67,7 +63,7 @@ class HyperParams:
             if name in ("kappa1", "kappa2"):
                 if not 0.5 < value <= 1.0:
                     raise ConfigError(f"{name} must lie in (0.5, 1], got {value}")
-            elif name in ("weight_decay", "mu_guard_eps"):
+            elif name == "weight_decay":
                 if value < 0:
                     raise ConfigError(f"{name} must be >= 0, got {value}")
             elif not value > 0:

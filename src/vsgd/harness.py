@@ -24,8 +24,8 @@ Traces: ``run`` appends each record point to stdlib ``array`` columns
 and returns them as a ``Trace``, a read-only sequence of ``StepTrace`` built
 on access.  A record point costs 8 bytes per column plus the arrays' growth
 reserve: about 57-59 B for vsgd and so-vsgd, 50 B for constant-vsgd and
-33-34 B for the baselines.  ``summarize`` and ``traceio.write_csv`` take a
-``Trace`` or any list of ``StepTrace``.
+33-34 B for the baselines.  ``summarize`` and ``traceio`` read a ``Trace``
+through ``Trace.column``, a whole column at a time, and build no row.
 """
 from __future__ import annotations
 
@@ -118,7 +118,8 @@ class Trace(Sequence):
     a new StepTrace of the Python ints and floats the columns hold, so
     mutating it leaves the trace unchanged.  A slice is a Trace with its own
     copy of the rows: it keeps none of the original's memory alive.  A Trace
-    equals any sequence of equal StepTraces, a list included.
+    equals any sequence of equal StepTraces, a list included.  ``column``
+    reads one field's values without building a row.
     """
 
     __slots__ = ("_t", "_columns")
@@ -128,6 +129,12 @@ class Trace(Sequence):
         StepTrace field, in field order: its column, or None if unrecorded.
         The Trace takes the arrays as they are, without a copy."""
         self._t, self._columns = t, columns
+
+    def column(self, name: str) -> array | None:
+        """The named StepTrace field's column, not a copy; None if unrecorded."""
+        if name == "t":
+            return self._t
+        return self._columns[_FLOAT_FIELDS.index(name)]
 
     def __len__(self) -> int:
         return len(self._t)
@@ -151,10 +158,10 @@ class Trace(Sequence):
 
 @dataclass
 class RunResult:
-    """One run's outcome; ``run`` gives ``traces`` as a Trace."""
+    """One run's outcome."""
 
     config: RunConfig
-    traces: Sequence[StepTrace]
+    traces: Trace
     diverged: bool
     steps_run: int
     initial_loss: float
@@ -357,15 +364,12 @@ def run(config: RunConfig, problem: Problem | None = None) -> RunResult:
 
 
 def summarize(result: RunResult) -> Metrics:
-    """Scalar metrics of a run; pure aggregation over the recorded traces.
-
-    ``result.traces`` is a Trace or any sequence of StepTrace.
-    """
-    traces = result.traces
-    if not traces:
+    """Scalar metrics of a run; pure aggregation over its loss column."""
+    losses = result.traces.column("loss")
+    if not losses:
         raise ValueError("cannot summarize a run with no recorded traces")
     return Metrics(
-        final_loss=traces[-1].loss,
-        best_loss=min(tr.loss for tr in traces),
+        final_loss=losses[-1],
+        best_loss=min(losses),
         wallclock_per_step=result.wallclock_seconds / max(result.steps_run, 1),
     )

@@ -19,7 +19,7 @@ every intermediate rate exceeds its prior by construction:
     b_ghat' = k_g*gamma + 0.5*((mu_g' - g_hat)^2 + sigma2_g)
 
 The gradient-ratio term divides by the previous mean mu_g, which may be
-zero; the denominator is guarded as sign(mu_g)*max(|mu_g|, mu_guard_eps)
+zero; the denominator is guarded as sign(mu_g)*max(|mu_g|, 1e-8)
 (sign(0) taken as +1).  Rates interpolate with rho = 1 at t=1 and
 rho = (t+1)**-kappa afterwards, and the parameter step scales by the
 curvature magnitude sqrt(E[h^2]) = sqrt(mu_h'^2 + sigma2_h):
@@ -29,10 +29,10 @@ curvature magnitude sqrt(E[h^2]) = sqrt(mu_h'^2 + sigma2_h):
 ``so_vsgd_step`` runs the step as one in-place kernel on ``core._blocked``,
 with seven block-sized scratch buffers on the state: ``state.mu_g``,
 ``state.mu_h`` and the three rates are updated in place, not rebound.  The
-gradient and the zero-denominator guard are checked over the whole arrays
-before any block is written.  ``so_local_update`` and
-``guarded_denominator`` are the pure reference forms; the kernel performs
-their operations in the same order, so the two agree bitwise.
+gradient is checked over the whole array before any block is written.
+``so_local_update`` and ``guarded_denominator`` are the pure reference
+forms; the kernel performs their operations in the same order, so the two
+agree bitwise.
 """
 from __future__ import annotations
 
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import HyperParams
-from .errors import ConfigError, NumericError
+from .errors import ConfigError
 from .core import _blocked, _checked_gradient, _scratch, state_sigma2
 
 __all__ = [
@@ -51,6 +51,8 @@ __all__ = [
     "so_local_update",
     "so_vsgd_step",
 ]
+
+_MU_GUARD_EPS = 1e-8  # the floor on |mu_g| in the gradient-ratio denominator
 
 
 @dataclass(eq=False)
@@ -93,21 +95,10 @@ def so_rates(t: int, hp: HyperParams) -> tuple[float, float]:
     return float(t + 1) ** -hp.kappa1, float(t + 1) ** -hp.kappa2
 
 
-def guarded_denominator(mu_g: np.ndarray, eps: float) -> np.ndarray:
-    """sign(mu_g)*max(|mu_g|, eps), with sign(0) taken as +1.
-
-    eps = 0 with a zero entry raises instead of letting 0/0 produce NaN.
-    """
-    _check_guard(mu_g, eps)
+def guarded_denominator(mu_g: np.ndarray) -> np.ndarray:
+    """sign(mu_g)*max(|mu_g|, _MU_GUARD_EPS), with sign(0) taken as +1."""
     sign = np.where(mu_g >= 0.0, 1.0, -1.0)
-    return sign * np.maximum(np.abs(mu_g), eps)
-
-
-def _check_guard(mu_g: np.ndarray, eps: float) -> None:
-    if eps == 0.0 and bool(np.any(mu_g == 0.0)):
-        raise NumericError(
-            "gradient-ratio denominator is zero (mu_g = 0 with mu_guard_eps = 0)"
-        )
+    return sign * np.maximum(np.abs(mu_g), _MU_GUARD_EPS)
 
 
 def so_local_update(
@@ -120,7 +111,7 @@ def so_local_update(
     btot = b_g + b_h + b_ghat
     sigma2_h = b_h * b_g / (a * (b_h + b_g))
     sigma2_g = state_sigma2(state)
-    ratio = (g_hat - state.mu_g) / guarded_denominator(state.mu_g, hp.mu_guard_eps)
+    ratio = (g_hat - state.mu_g) / guarded_denominator(state.mu_g)
     mu_h_new = ratio * (b_h / btot) + state.mu_h * ((b_g + b_ghat) / btot)
     mu_g_new = g_hat * ((b_g + b_h) / btot) + (state.mu_h + state.mu_g) * (
         b_ghat / btot
@@ -136,11 +127,10 @@ def so_vsgd_step(
 ) -> np.ndarray:
     """One Second-order VSGD step; state and theta are updated in place; returns theta.
 
-    The gradient and the whole of mu_g are checked before any block is
-    written, so a step that raises leaves state and theta untouched.
+    The gradient is checked before any block is written, so a step that
+    raises leaves state and theta untouched.
     """
     g_hat = _checked_gradient(g_hat, state.dim)
-    _check_guard(state.mu_g, hp.mu_guard_eps)
     t = state.t + 1
     rho1, rho2 = so_rates(t, hp)
     _blocked(
@@ -170,10 +160,10 @@ def _so_block(work, arrays, g_hat, scalars):
     np.multiply(s_gg, a, out=tmp)
     sig_g /= tmp  # sigma2_g
 
-    # guarded ratio (g_hat - mu_g)/(sign(mu_g)*max(|mu_g|, eps)); adding 0.0
-    # turns -0.0 into +0.0, so copysign takes sign(0) as +1
+    # guarded ratio (g_hat - mu_g)/(sign(mu_g)*max(|mu_g|, _MU_GUARD_EPS));
+    # adding 0.0 turns -0.0 into +0.0, so copysign takes sign(0) as +1
     np.abs(mu_g, out=tmp)
-    np.maximum(tmp, hp.mu_guard_eps, out=tmp)
+    np.maximum(tmp, _MU_GUARD_EPS, out=tmp)
     np.add(mu_g, 0.0, out=mu_h_new)
     np.copysign(tmp, mu_h_new, out=tmp)
     np.subtract(g_hat, mu_g, out=mu_h_new)

@@ -6,81 +6,60 @@ files from different optimizers stay column-compatible.  Floats are
 serialized as shortest round-trip decimals (repr of a 64-bit float), so
 re-parsing an emitted file reproduces the values bitwise.
 
-``write_csv`` takes any sequence of ``StepTrace`` (a ``harness.Trace`` or a
-list) and formats it in chunks of ``_CHUNK_ROWS`` rows, so writing never
-holds the whole file as one string.
+``write_csv`` formats a ``harness.Trace`` a whole column at a time and
+writes it in chunks of ``_CHUNK_ROWS`` rows, so writing never holds the
+whole file as one string; ``read_csv`` parses a file back into a ``Trace``.
+Neither builds a ``StepTrace`` per row.
 """
 from __future__ import annotations
 
-import operator
-import typing
-from collections.abc import Sequence
+from array import array
 from dataclasses import fields
-from itertools import islice
+from itertools import islice, repeat
 
-from .harness import StepTrace
+from .harness import StepTrace, Trace
 
 __all__ = ["CSV_HEADER", "write_csv", "read_csv"]
 
-_FIELDS = fields(StepTrace)
-_INT_FIELDS = {name for name, hint in typing.get_type_hints(StepTrace).items() if hint is int}
+_FIELDS = fields(StepTrace)  # t, then the float fields; optional ones default to None
 CSV_HEADER = ",".join(f.name for f in _FIELDS)
 _CHUNK_ROWS = 1024
 
 
-def _column(f, traces: list[StepTrace]):
-    """One field's cells over a chunk of traces, formatted by the field's type.
-
-    ``map`` over builtins formats a column with no Python call per cell.
-    """
-    values = map(operator.attrgetter(f.name), traces)
-    if f.name in _INT_FIELDS:
-        return map(str, values)
-    if f.default is None:  # an optional state summary: empty cell for None
-        return ("" if v is None else repr(float(v)) for v in values)
-    return map(repr, map(float, values))
-
-
-def _parse_optional(cell: str) -> float | None:
-    return float(cell) if cell else None
-
-
-_PARSERS = tuple(
-    int if f.name in _INT_FIELDS else _parse_optional if f.default is None else float
-    for f in _FIELDS
-)
-
-
-def _chunks(traces):
-    """Row chunks of a sequence of StepTrace, each cell read from its trace."""
-    it = iter(traces)
-    while chunk := list(islice(it, _CHUNK_ROWS)):
-        yield map(",".join, zip(*[_column(f, chunk) for f in _FIELDS]))
-
-
-def write_csv(traces: Sequence[StepTrace], path) -> None:
-    """Write traces as UTF-8 CSV with LF line endings; traces must be nonempty."""
-    if not traces:
-        raise ValueError("refusing to write an empty trace list")
+def write_csv(trace: Trace, path) -> None:
+    """Write a trace as UTF-8 CSV with LF line endings; the trace must be nonempty."""
+    if not trace:
+        raise ValueError("refusing to write an empty trace")
+    t, *columns = (trace.column(f.name) for f in _FIELDS)
+    cells = [map(str, t), *(repeat("") if c is None else map(repr, c) for c in columns)]
+    rows = map(",".join, zip(*cells))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        for rows in _chunks(traces):
-            fh.write("\n".join(rows))
+        while chunk := list(islice(rows, _CHUNK_ROWS)):
+            fh.write("\n".join(chunk))
             fh.write("\n")
 
 
-def read_csv(path) -> list[StepTrace]:
-    """Parse a file produced by write_csv back into StepTrace rows."""
+def read_csv(path) -> Trace:
+    """Parse a file produced by write_csv back into a Trace.
+
+    An optional column must be all empty (it reads None) or all filled.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().split("\n")
-    if not lines or lines[0] != CSV_HEADER:
+        header, _, body = fh.read().partition("\n")
+    if header != CSV_HEADER:
         raise ValueError(f"{path}: missing or unexpected header")
-    traces = []
-    for line in lines[1:]:
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) != len(_PARSERS):
-            raise ValueError(f"{path}: malformed row {line!r}")
-        traces.append(StepTrace(*[parse(cell) for parse, cell in zip(_PARSERS, cells)]))
-    return traces
+    rows = [line.split(",") for line in body.split("\n") if line]
+    for cells in rows:
+        if len(cells) != len(_FIELDS):
+            raise ValueError(f"{path}: malformed row {','.join(cells)!r}")
+    t, *columns = zip(*rows) if rows else [()] * len(_FIELDS)
+    parsed = []
+    for f, cells in zip(_FIELDS[1:], columns):
+        if f.default is None and not any(cells):
+            parsed.append(None)
+        elif "" in cells:
+            raise ValueError(f"{path}: empty cell in column {f.name}")
+        else:
+            parsed.append(array("d", map(float, cells)))
+    return Trace(array("q", map(int, t)), tuple(parsed))

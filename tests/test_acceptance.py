@@ -293,7 +293,7 @@ def test_criterion_11_harness_gradient_correctness():
 
 
 def test_criterion_12_second_order_sanity():
-    hp = HyperParams(eta=0.1, mu_guard_eps=1e-8)
+    hp = HyperParams(eta=0.1)
     # hand-derived single-step values
     s = SecondOrderState(
         t=1,
@@ -319,13 +319,13 @@ def test_criterion_12_second_order_sanity():
     hand_ok = hand_ok and mu_h2[0] == 0.0 and abs(mu_g2[0] - 1.5) < 1e-15
     hand_ok = hand_ok and abs(-0.1 * 1.0 / np.sqrt(3.0 ** 2 + 16.0) - (-0.02)) < 1e-15
 
-    state = init_so_state(10, HyperParams(eta=0.01, mu_guard_eps=1e-8))
+    state = init_so_state(10, HyperParams(eta=0.01))
     theta = np.ones(10)
     rng = make_rng(1212)
     finite = True
     for _ in range(10_000):
         g = theta + normal(rng, 10)
-        so_vsgd_step(state, theta, g, HyperParams(eta=0.01, mu_guard_eps=1e-8))
+        so_vsgd_step(state, theta, g, HyperParams(eta=0.01))
         if not (
             np.isfinite(theta).all()
             and np.isfinite(state.mu_h).all()
